@@ -25,37 +25,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The served system's benchmark (benchmark/README.md). bench runs ten seeds
+# per workload and compares their medians with the committed baseline;
+# bench-smoke is one tiny run that checks the harness and the bitwise answer
+# checks end to end.
 bench:
-	$(GO) run ./cmd/surgebench -exp all
+	$(GO) run ./benchmark --runs 10 --summary benchmark/out/new.json
+	$(GO) run ./benchmark --compare benchmark/baseline/seed.json benchmark/out/new.json
 
-# Laptop-scale benchmarks; writes BENCH_hotpath.json (ns/obj, allocs/obj,
-# objs/sec) and BENCH_topk.json (continuous vs replay /v1/topk latency,
-# ingest overhead of top-k maintenance) to bench-out/ so CI can archive
-# every PR's perf point. The grep asserts the topkserve experiment actually
-# reported the continuous-top-k ingest-overhead ratio — if the experiment
-# breaks (or stops writing the field CI and the docs quote), the smoke run
-# fails loudly instead of silently archiving a hollow JSON.
-# -obs-overhead-max gates the telemetry's cost on the sharded ingest path
-# (median paired obs-on/obs-off ratio): the true overhead measures ~0-1%,
-# the estimator's noise floor on a shared runner is ~±3%, and a real
-# regression (a lock or allocation on the record path) costs 20%+ — so 5%
-# separates signal from noise with margin on both sides.
 bench-smoke:
-	mkdir -p bench-out
-	$(GO) run ./cmd/surgebench -exp hotpath,topkserve,tenancy -max-exact 1000 -max-approx 10000 -json-dir bench-out -obs-overhead-max 5
-	@grep -q '"ingest_overhead_pct"' bench-out/BENCH_topk.json || { \
-		echo "bench-smoke: BENCH_topk.json lacks ingest_overhead_pct; the topkserve experiment broke"; exit 1; }
-	@grep -q '"bestserve_ingest_gain_pct"' bench-out/BENCH_topk.json || { \
-		echo "bench-smoke: BENCH_topk.json lacks bestserve_ingest_gain_pct; the bestserve rows broke"; exit 1; }
-	@grep -q '"best-chain"' bench-out/BENCH_topk.json && grep -q '"best-engines"' bench-out/BENCH_topk.json || { \
-		echo "bench-smoke: BENCH_topk.json lacks the bestserve chain-vs-engines rows"; exit 1; }
-	@grep -q '"objs_per_sec"\|"objects_per_sec"' bench-out/BENCH_hotpath.json || { \
-		echo "bench-smoke: BENCH_hotpath.json lacks throughput rows; the hotpath experiment broke"; exit 1; }
-	@grep -q '"ingest_ack_p50_us"' bench-out/BENCH_hotpath.json || { \
-		echo "bench-smoke: BENCH_hotpath.json lacks ingest-ack latency quantiles; the obs histograms broke"; exit 1; }
-	@grep -q '"obs_overhead_pct"' bench-out/BENCH_hotpath.json || { \
-		echo "bench-smoke: BENCH_hotpath.json lacks obs_overhead_pct; the obs-on-vs-off comparison broke"; exit 1; }
-	@grep -q '"wal_overhead_pct"' bench-out/BENCH_hotpath.json || { \
-		echo "bench-smoke: BENCH_hotpath.json lacks wal_overhead_pct; the durable-ingest rows broke"; exit 1; }
-	@grep -q '"tenancy_scale_pct"' bench-out/BENCH_tenancy.json || { \
-		echo "bench-smoke: BENCH_tenancy.json lacks tenancy_scale_pct; the tenancy experiment broke"; exit 1; }
+	$(GO) run ./benchmark --smoke

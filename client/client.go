@@ -116,34 +116,20 @@ func (c *Client) Best(ctx context.Context) (*State, error) {
 }
 
 // TopK returns the greedy top-k bursty regions over the live windows,
-// served O(1) from the server's continuously maintained answer whenever it
-// covers k (TopK.Continuous reports which path answered). k <= 0 uses the
-// server's configured default.
+// served O(1) as a prefix of the server's continuously maintained answer.
+// k <= 0 asks for the maintained k; a k above it is rejected (400).
 func (c *Client) TopK(ctx context.Context, k int) (*TopK, error) {
-	return c.TopKMode(ctx, k, "")
-}
-
-// TopKMode is TopK with an explicit serving mode: "continuous" requires
-// the maintained answer (the server rejects uncovered k), "replay" forces
-// the checkpoint-replay escape hatch, "" or "auto" prefers the maintained
-// answer and falls back to replay.
-func (c *Client) TopKMode(ctx context.Context, k int, mode string) (*TopK, error) {
 	var out TopK
-	if err := c.getJSON(ctx, topkPath("/v1/topk", k, mode), &out); err != nil {
+	if err := c.getJSON(ctx, topkPath("/v1/topk", k), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// topkPath appends the k/mode query parameters to a topk endpoint path.
-func topkPath(path string, k int, mode string) string {
-	sep := byte('?')
+// topkPath appends the k query parameter to a topk endpoint path.
+func topkPath(path string, k int) string {
 	if k > 0 {
-		path += string(sep) + "k=" + strconv.Itoa(k)
-		sep = '&'
-	}
-	if mode != "" {
-		path += string(sep) + "mode=" + mode
+		path += "?k=" + strconv.Itoa(k)
 	}
 	return path
 }

@@ -101,13 +101,8 @@ func (q *Query) Best(ctx context.Context) (*State, error) {
 
 // TopK returns the query's top-k bursty regions (see Client.TopK).
 func (q *Query) TopK(ctx context.Context, k int) (*TopK, error) {
-	return q.TopKMode(ctx, k, "")
-}
-
-// TopKMode is TopK with an explicit serving mode (see Client.TopKMode).
-func (q *Query) TopKMode(ctx context.Context, k int, mode string) (*TopK, error) {
 	var out TopK
-	if err := q.c.getJSON(ctx, topkPath(q.path+"/topk", k, mode), &out); err != nil {
+	if err := q.c.getJSON(ctx, topkPath(q.path+"/topk", k), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

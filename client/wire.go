@@ -9,9 +9,10 @@
 //	                    "time,x,y,weight" with Content-Type text/csv)
 //	                    -> IngestResult
 //	GET  /v1/best       -> State (current bursty region + stream clock)
-//	GET  /v1/topk?k=N   -> TopK (greedy top-k over the live windows);
-//	                    served O(1) from the continuously maintained
-//	                    answer, ?mode=replay forces checkpoint replay
+//	GET  /v1/topk?k=N   -> TopK (greedy top-k over the live windows),
+//	                    served O(1) as a prefix of the continuously
+//	                    maintained answer; k above the maintained k is
+//	                    a 400
 //	GET  /v1/subscribe  -> text/event-stream: one "hello" event (State),
 //	                    then a "burst" event (Notification) per bursty-
 //	                    region change and a "topk" event (TopKNotification)
@@ -140,10 +141,8 @@ type IngestResult struct {
 	Result   Result `json:"result"`   // answer after the last batch
 }
 
-// TopK is the reply to /v1/topk. Continuous reports which path served it:
-// true for the maintained O(1) snapshot, false for checkpoint replay (the
-// ?mode=replay escape hatch, or a k beyond the maintained one). Both paths
-// report bitwise identical scores for the canonically rescored engines.
+// TopK is the reply to /v1/topk: a prefix of the query's continuously
+// maintained answer. Continuous is always true.
 type TopK struct {
 	K          int      `json:"k"`
 	Algorithm  string   `json:"algorithm"`
@@ -320,7 +319,8 @@ type QueryConfig struct {
 	// legacy single-query paths address.
 	ID string `json:"id"`
 	// Algorithm is the engine name as surged's -algo flag spells it (CCS,
-	// B-CCS, Base, aG2, GAPS, MGAPS, Oracle); "" inherits the server's.
+	// B-CCS, Base, GAPS, MGAPS — the algorithms whose answer is rank 1 of a
+	// maintained top-k chain); "" inherits the server's.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Width/Height/Window/PastWindow/Alpha are the query options; zero
 	// values inherit the server defaults (PastWindow additionally defaults
@@ -330,13 +330,9 @@ type QueryConfig struct {
 	Window     float64 `json:"window,omitempty"`
 	PastWindow float64 `json:"past_window,omitempty"`
 	Alpha      float64 `json:"alpha,omitempty"`
-	// TopK is the maintained top-k's k (0 inherits the server's).
+	// TopK is the maintained top-k's k, the largest k /topk answers (0
+	// inherits the server's).
 	TopK int `json:"topk,omitempty"`
-	// TopKReplayOnly disables the maintained top-k for this query.
-	TopKReplayOnly bool `json:"topk_replay_only,omitempty"`
-	// BestFromEngines keeps the legacy dual-engine layout for this query
-	// (see the server Config field of the same name).
-	BestFromEngines bool `json:"best_from_engines,omitempty"`
 	// Shards is the engine shard count for this query. 0 or 1 hosts a
 	// single engine on the server's shared tenant workers — the layout that
 	// scales to many queries; >= 2 gives this query its own shard pipeline.
@@ -351,8 +347,8 @@ type QueryInfo struct {
 	// Default reports whether this is the query the legacy single-query
 	// paths address.
 	Default bool `json:"default,omitempty"`
-	// Continuous reports whether a maintained top-k chain serves this
-	// query's /topk.
+	// Continuous reports that a maintained top-k chain serves this query;
+	// always true.
 	Continuous bool `json:"continuous"`
 	// Shared reports whether this query's engine state is shared with other
 	// registry entries of identical configuration (boot-time dedup; the
@@ -391,7 +387,6 @@ type QueryStats struct {
 	Dropped     uint64 `json:"dropped"`
 	Subscribers int    `json:"subscribers"`
 	TopKFast    uint64 `json:"topk_fast"`
-	TopKReplay  uint64 `json:"topk_replay"`
 	Snapshots   uint64 `json:"snapshots"`
 	Restores    uint64 `json:"restores"`
 	Clamped     uint64 `json:"clamped"`

@@ -1,7 +1,7 @@
 // Command surgebench regenerates the tables and figures of the SURGE paper's
 // evaluation (Section VII) on synthetic workloads matching the published
-// dataset envelopes. See DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded results.
+// dataset envelopes; -list prints the experiment index. The served system is
+// measured by `go run ./benchmark`, not here.
 //
 // Usage:
 //
@@ -32,8 +32,6 @@ func main() {
 		maxExact  = flag.Int("max-exact", 8000, "measured objects per point for exact engines")
 		maxApprox = flag.Int("max-approx", 120000, "measured objects per point for approximate engines")
 		full      = flag.Bool("full", false, "paper scale: rate-scale=1, larger samples")
-		jsonDir   = flag.String("json-dir", ".", "directory for machine-readable results (BENCH_*.json); empty disables")
-		obsMax    = flag.Float64("obs-overhead-max", 0, "fail the hotpath experiment if observability overhead exceeds this percent (0 = report only)")
 	)
 	flag.Parse()
 
@@ -51,8 +49,6 @@ func main() {
 	o.RateScale = *rateScale
 	o.MaxExact = *maxExact
 	o.MaxApprox = *maxApprox
-	o.JSONDir = *jsonDir
-	o.ObsOverheadMaxPct = *obsMax
 	if *full {
 		o.RateScale = 1
 		o.MaxExact = 50000

@@ -5,8 +5,7 @@
 //	POST /v1/ingest     NDJSON or CSV object batches
 //	GET  /v1/best       current bursty region
 //	GET  /v1/topk?k=N   greedy top-k over the live windows, O(1) from the
-//	                    continuously maintained answer (-topk); add
-//	                    ?mode=replay to force checkpoint replay
+//	                    continuously maintained answer; N <= -topk
 //	GET  /v1/subscribe  SSE stream of bursty-region and top-k changes;
 //	                    Last-Event-ID resumes after a disconnect
 //	POST /v1/snapshot   detector checkpoint (octet-stream)
@@ -19,8 +18,13 @@
 // The server is multi-query: POST /v1/queries registers additional named
 // queries over the same ingest stream (GET lists them, DELETE removes one)
 // and every single-query endpoint above has a per-query twin under
-// /v1/queries/{id}/. The legacy paths address the query named "default".
+// /v1/queries/{id}/. The paths above address the query named "default".
 // -queries seeds named queries at boot from a JSON file.
+//
+// Every query is one detector plus one maintained top-k chain: /best is the
+// chain's rank 1, /topk a prefix of its answer. The served algorithms are
+// therefore the ones a chain reproduces bitwise — CCS, B-CCS, Base, GAPS and
+// MGAPS; aG2 and Oracle remain library and surgebench baselines.
 //
 // Lifecycle events (startup, checkpoint, restore, degraded-mode
 // transitions, shutdown) are structured logs on stderr; -log-format picks
@@ -61,7 +65,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("surged serve", flag.ExitOnError)
 	var (
 		addr    = fs.String("addr", ":7077", "listen address")
-		algo    = fs.String("algo", "CCS", "algorithm: CCS, B-CCS, Base, aG2, GAPS, MGAPS, Oracle")
+		algo    = fs.String("algo", "CCS", "algorithm: CCS, B-CCS, Base, GAPS, MGAPS")
 		width   = fs.Float64("width", 0.01, "query rectangle width")
 		height  = fs.Float64("height", 0.01, "query rectangle height")
 		win     = fs.Float64("window", 3600, "window length |Wc| (= |Wp| unless -past-window)")
@@ -70,15 +74,13 @@ func runServe(args []string) error {
 		shards  = fs.Int("shards", 0, "engine shards: 1 = single engine, 0 = one per CPU")
 		blkCols = fs.Int("block-cols", 0, "ownership block width in query-width columns (0 = default)")
 		batch   = fs.Int("batch", 512, "objects per detector synchronisation on ingest")
-		topk    = fs.Int("topk", 5, "k of the continuously maintained top-k served O(1) by /v1/topk; 0 disables maintenance (every query replays a checkpoint)")
-		kOld    = fs.Int("k", 5, "deprecated alias of -topk")
+		topk    = fs.Int("topk", 5, "k of the continuously maintained top-k chain: the largest k /v1/topk answers (>= 1)")
 		ring    = fs.Int("notify-ring", 256, "recent SSE notifications retained for Last-Event-ID reconnect backfill")
 		policy  = fs.String("time-policy", "clamp", "out-of-order ingest timestamps: clamp (lift to the stream clock, safe for concurrent ingesters) or strict (reject)")
 		subBuf  = fs.Int("sub-buffer", 64, "per-subscriber notification buffer before oldest-first drops")
 		ckptOut = fs.String("checkpoint", "", "write a checkpoint to this file on shutdown")
 		ckptIn  = fs.String("restore", "", "seed the detector from this checkpoint file at boot")
 		flush   = fs.Int("flush", 0, "sharded router flush size in events per shard (0 = adapt to shard backlog)")
-		dualEng = fs.Bool("best-from-engines", false, "keep the legacy dual-engine layout: single-region engines answer /v1/best beside the maintained top-k chain (default: one chain serves both)")
 		pprofOn = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling; leave off unless the listener is access-controlled)")
 		logFmt  = fs.String("log-format", "text", "structured log format on stderr: text or json")
 
@@ -120,14 +122,8 @@ func runServe(args []string) error {
 	if *flush < 0 {
 		return fmt.Errorf("invalid -flush %d", *flush)
 	}
-	// -k predates -topk; honour it when it is the only one given.
-	topkSet := false
-	fs.Visit(func(f *flag.Flag) { topkSet = topkSet || f.Name == "topk" })
-	if !topkSet {
-		*topk = *kOld
-	}
-	if *topk < 0 {
-		return fmt.Errorf("invalid -topk %d", *topk)
+	if *topk < 1 {
+		return fmt.Errorf("invalid -topk %d (want >= 1: every query is served from its maintained top-k chain)", *topk)
 	}
 	if *qMaxSubs < 0 {
 		return fmt.Errorf("invalid -query-max-subs %d", *qMaxSubs)
@@ -149,8 +145,6 @@ func runServe(args []string) error {
 			Shards: nShards, ShardBlockCols: *blkCols, ShardFlushEvents: *flush,
 		},
 		TopK:                *topk,
-		TopKReplayOnly:      *topk == 0,
-		BestFromEngines:     *dualEng,
 		NotifyRing:          *ring,
 		TimePolicy:          tp,
 		BatchSize:           *batch,

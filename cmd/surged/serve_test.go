@@ -101,8 +101,18 @@ func TestRunServeRejectsBadFlags(t *testing.T) {
 	if err := runServe([]string{"-shards", "-2"}); err == nil {
 		t.Fatal("negative shards accepted")
 	}
-	if err := runServe([]string{"-topk", "-1"}); err == nil {
-		t.Fatal("negative topk accepted")
+	// runServe only returns once the listener is down, so an error from a
+	// call that was never told to stop means it failed before binding.
+	for _, k := range []string{"-1", "0"} {
+		if err := runServe([]string{"-topk", k}); err == nil || !strings.Contains(err.Error(), "-topk") {
+			t.Fatalf("-topk %s: %v, want it rejected by name", k, err)
+		}
+	}
+	for _, alg := range []string{"Oracle", "aG2"} {
+		err := runServe([]string{"-algo", alg})
+		if err == nil || !strings.Contains(err.Error(), "served: CCS, B-CCS, Base, GAPS, MGAPS") {
+			t.Fatalf("-algo %s: %v, want an error naming the served algorithms", alg, err)
+		}
 	}
 	if err := runServe([]string{"-restore", "/nonexistent/surge.ckpt"}); err == nil {
 		t.Fatal("missing restore file accepted")

@@ -160,21 +160,21 @@
 //     encoding/json, so accepted inputs are unchanged) and recycles the
 //     per-request chunk buffers.
 //
-// The perf trajectory is tracked by machine-readable benchmark reports:
-// `surgebench -exp hotpath -json-dir .` writes BENCH_hotpath.json with
-// ns/obj, allocs/obj and objs/sec for the single-engine (CCS, GAPS),
-// sharded-batch and HTTP-ingest configurations (each the fastest of
-// several interleaved rounds — the least-interfered estimate on a shared
-// runner), the `shards` and
-// `serve` experiments write BENCH_shards.json / BENCH_serve.json with
-// their scaling curves (rows of objects_per_sec and speedup per shard
-// count), and the `topkserve` experiment writes BENCH_topk.json with the
-// /v1/topk latency percentiles (continuous vs replay), the ingest cost of
-// the unified chain layout against the dual-engine layout it replaced and
-// against a server with no top-k at all, and the /v1/best latency of both
-// serving layouts. CI runs the hotpath and topkserve
-// experiments at laptop scale on every PR and archives the JSON, so
-// regressions show up as a diff in the perf point.
+// The served system is measured by one harness: `go run ./benchmark` builds
+// surged, runs it as a subprocess and drives four fixed workloads over
+// loopback, checking every answer bitwise against an in-process replay
+// (benchmark/README.md describes the run shape and every metric;
+// `make bench` runs ten seeds and compares them with
+// benchmark/baseline/seed.json, CI runs `make bench-smoke` on every PR).
+// The committed baseline medians on a 2-vCPU VM: exact-1shard (CCS, ~104k
+// live objects) saturates at 72.2k obj/s for 13.7 µs of server CPU per
+// object with an 8.4 ms ack p50 and 256 MiB RSS; exact-2shard, fed the same
+// bytes, 84.7k obj/s, 14.3 µs, 6.9 ms; approx-durable (GAPS with a WAL
+// fsynced every 100 ms) 177.9k obj/s, 5.4 µs, 4.2 ms, 35 MiB;
+// multiquery-read (eight GAPS queries on two workers) 50.1k obj/s, 30.5 µs,
+// 13.7 ms. benchmark/baseline/seed-trace.json splits each of them into 52
+// per-layer metrics. surgebench stays the harness for the paper's own
+// tables and figures.
 // For profiling a live instance, `surged serve -pprof` mounts
 // net/http/pprof under /debug/pprof/ (off by default).
 //
@@ -186,13 +186,11 @@
 //
 //	POST /v1/ingest     NDJSON {"time","x","y","weight"} or CSV
 //	                    "time,x,y,weight" object batches
-//	GET  /v1/best       current bursty region, stream clock, engine stats;
-//	                    with maintained top-k (surged -topk, the default)
-//	                    it is served from rank 1 of the maintained chain
-//	                    and the single-region engines are dropped
+//	GET  /v1/best       current bursty region, stream clock, engine stats:
+//	                    rank 1 of the query's maintained top-k chain
 //	GET  /v1/topk?k=N   greedy top-k over the live windows, answered O(1)
-//	                    from the continuously maintained kCCS answer
-//	                    (?mode=replay forces the checkpoint-replay path)
+//	                    as a prefix of the continuously maintained answer;
+//	                    N above the maintained k (surged -topk) is a 400
 //	GET  /v1/subscribe  Server-Sent Events: a "hello" event with the
 //	                    current state, then one "burst" event per bursty-
 //	                    region change and one "topk" event per top-k
@@ -216,12 +214,18 @@
 // structured slog records; surged -log-format selects text or json on
 // stderr (library embedders wire server.Config.Logger).
 //
+// Served algorithms: CCS, B-CCS, Base, GAPS and MGAPS — the ones whose
+// answer is bitwise rank 1 of a maintained chain (kCCS for the exact family,
+// kGAPS and kMGAPS for the grid approximations). aG2 and Oracle have no such
+// chain; surged serve -algo, server.New and POST /v1/queries reject them, and
+// they remain library (surge.New) and surgebench baselines.
+//
 // Consistency guarantees: the detector is owned by a single-writer event
 // loop — handlers parse request bodies concurrently and the loop applies
 // them as PushBatch batches — so concurrent ingesters serialise into one
 // global stream order and the SSE notification stream equals the answer
-// changes of a single-process run of that order, bit for bit in the scores
-// (for every algorithm except AG2). Out-of-order timestamps across
+// changes of a single-process run of that order, bit for bit in the
+// scores. Out-of-order timestamps across
 // uncoordinated ingesters are rejected ("strict" policy) or lifted to the
 // stream clock ("clamp"). A subscriber that falls behind its buffer loses
 // oldest-first notifications, with the loss counted on the next delivered
@@ -248,15 +252,14 @@
 // every query's engine. The per-object ingest cost is therefore paid per
 // stream, not per query — the shared plane hands each engine the same
 // read-only object slice (copied only if that engine's time policy has to
-// lift a timestamp), and the tenancy benchmark (BENCH_tenancy.json,
-// tenancy_scale_pct) tracks the throughput of 64 identical queries
-// against one.
+// lift a timestamp); the multiquery-read workload of `go run ./benchmark`
+// measures the fan-out with eight queries of different sizes.
 //
 // Lifecycle: queries exist from boot (server.Config.Queries, surged serve
 // -queries file.json) or are created and deleted at runtime through the
 // /v1/queries CRUD surface (client.CreateQuery / Client.Query /
 // Query.Delete). Query "default" is the server's own configuration, always
-// exists, cannot be deleted, and serves every legacy /v1/* path, so a
+// exists, cannot be deleted, and serves every bare /v1/* path, so a
 // single-query deployment never notices the registry. Each query owns a
 // detector configuration (algorithm, cell size, window, top-k, shard
 // count), its own SSE hub with the full cursor/epoch/drop accounting of
@@ -296,8 +299,9 @@
 // full registry — each query's configuration plus its engine state, with
 // shared slots stored once. Recovery rebuilds the registry and replays
 // the WAL tail into every engine, restoring runtime-created queries and
-// keeping deleted ones dead across crashes; pre-registry (v1) checkpoints
-// still load and seed the default query.
+// keeping deleted ones dead across crashes. A pre-registry ("SURGEDC1")
+// checkpoint file is no longer read: boot fails naming the remedy (boot the
+// previous release on the directory once; it rewrites the file).
 //
 // # Durability
 //
@@ -324,8 +328,8 @@
 // surged -wal-sync: "always" fsyncs before every ack (lose nothing),
 // an interval like "100ms" fsyncs in the background (lose at most one
 // interval of acks), "off" never fsyncs (lose up to the page cache). The
-// hotpath benchmark prices the interval policy against plain HTTP ingest
-// as wal_overhead_pct in BENCH_hotpath.json.
+// approx-durable workload of `go run ./benchmark` runs the interval policy
+// and times the recovery that replays its log.
 //
 // Retries are made safe by sequenced ingest: a client that tags POST
 // /v1/ingest with an Ingest-Seq: source:seq header (client.IngestSeq) gets
@@ -395,65 +399,51 @@
 //
 // # Continuous top-k serving
 //
-// The server maintains the top-k answer continuously instead of computing
-// it per query: a kCCS top-k detector is attached to the ingest detector's
-// event stream (Detector.AttachTopK), refreshed after every applied batch,
-// and published as an immutable snapshot that GET /v1/topk serves with one
-// atomic load — O(1) per query regardless of stream size, with no garbage
-// and no loop round-trip. On a sharded server the maintained engines ride
-// the shard workers — per-event maintenance is distributed exactly like
-// detection (each (event, cell) pair is processed by exactly one shard, so
-// sharding adds no duplicated maintenance work), off the event-loop thread,
-// and the per-batch refresh is the cross-shard merge, which re-solves only
-// the shards around the committed ranks. Any k up to
-// the maintained one (surged -topk, default 5) is served as a prefix of the
-// snapshot, the greedy chain being prefix-stable; larger k fall back to the
-// replay path, which checkpoints the live windows into a pooled buffer and
-// replays them into a fresh single-engine detector off the loop
-// (?mode=replay forces it, surged -topk 0 makes it the only path).
+// A served query is one detector plus one maintained top-k chain
+// (Detector.AttachTopKBest), and the chain is the query's only engine. It
+// is refreshed after every applied batch and published as an immutable
+// snapshot that GET /v1/topk serves with one atomic load — O(1) per query
+// regardless of stream size, with no garbage and no loop round-trip. On a
+// sharded server the maintained engines ride the shard workers — per-event
+// maintenance is distributed exactly like detection (each (event, cell)
+// pair is processed by exactly one shard, so sharding adds no duplicated
+// maintenance work), off the event-loop thread, and the per-batch refresh
+// is the cross-shard merge, which re-solves only the shards around the
+// committed ranks. Any k up to the maintained one (surged -topk, default 5;
+// per query, QueryConfig.TopK) is served as a prefix of the snapshot, the
+// greedy chain being prefix-stable; a larger k is rejected with a 400 that
+// names the maintained k.
 //
-// With a maintained chain attached, the chain is the server's only engine:
-// rank 1 of the greedy chain over the unconstrained plane is exactly the
+// Rank 1 of the greedy chain over the unconstrained plane is exactly the
 // single-region answer (the first problem of the chain is the single-region
 // problem), so /v1/best and the "burst" SSE stream are served from the
-// maintained snapshot's rank 1 (Detector.AttachTopKBest) and the
-// single-region engines are dropped at attach rather than run in parallel.
-// Equal-score selections follow one canonical order (core.CompareTopK:
-// score, then region coordinates) across every engine family and the
-// coordinator, which is what keeps the chain-served answer bitwise equal to
-// the engine-served one. The pre-change dual-engine layout — engines for
-// /v1/best, chain for /v1/topk — remains available for comparison behind
-// surged -best-from-engines; BENCH_topk.json prices both
-// (ingest_overhead_pct, bestserve_ingest_gain_pct: on a 1-CPU box the
-// unified layout ingests ~70% faster than the dual layout it replaced, and
-// maintained top-k costs ~5% versus a server with no top-k at all). The
-// exceptions are the engines with no chain variant (AG2, Oracle): they keep
-// their single-region engines, and BestFromEngines is implied.
+// maintained snapshot's rank 1 and the single-region engines are dropped at
+// attach rather than run in parallel. Equal-score selections follow one
+// canonical order (core.CompareTopK: score, then region coordinates) across
+// every engine family and the coordinator, which is what keeps the
+// chain-served answer bitwise equal to what the single-region engine of the
+// same algorithm reports.
 //
 // The kCCS engine keeps its per-cell state canonical — arrival-ordered
 // object storage, candidate scores maintained as arrival-order folds,
 // levels a pure function of the live content — so the continuously
 // maintained answer is bitwise identical (scores) to replaying a
-// checkpoint of the same windows: the fast path and the escape hatch are
-// interchangeable, which the randomized equivalence tests pin down for
-// kCCS, kGAPS and kMGAPS (the grid engines report canonical folds too).
-// Top-k rank changes are pushed to subscribers as "topk" SSE events; the
-// maintenance cost on the ingest path is tracked by the topkserve
-// benchmark (BENCH_topk.json). A detector whose pipeline fails keeps
-// serving its last good answer and records the failure (Detector.Err);
-// /healthz then reports it with a 503 so orchestrators recycle the
-// instance. Known follow-up: aG2 still has no top-k variant (kCCS
-// substitutes).
+// checkpoint of the same windows (surge.RestoreTopK over POST /v1/snapshot
+// bytes), which the randomized equivalence tests pin down for kCCS, kGAPS
+// and kMGAPS (the grid engines report canonical folds too). Top-k rank
+// changes are pushed to subscribers as "topk" SSE events. A detector whose
+// pipeline fails keeps serving its last good answer and records the
+// failure (Detector.Err); /healthz then reports it with a 503 so
+// orchestrators recycle the instance.
 //
 // # Observability
 //
 // Every pipeline stage is instrumented with lock-free, fixed-bucket
 // log-scale histograms (internal/obs): recording is atomics only — zero
 // heap allocations per observation — so the telemetry lives inside the
-// zero-allocation ingest hot path without breaking its contract (the
-// steady-state allocs/obj guard runs with instrumentation on, and the
-// hotpath benchmark prices obs-on vs obs-off as obs_overhead_pct in
-// BENCH_hotpath.json; make bench-smoke fails beyond a small budget).
+// zero-allocation ingest hot path without breaking its contract; it is
+// always on, so every number `go run ./benchmark` reports (among them
+// server.ingest_allocs_per_obj of the traced run) is measured with it.
 // Values below 8 are exact and every octave above splits into 8
 // sub-buckets, bounding relative quantile error at 12.5%.
 //

@@ -108,27 +108,13 @@ func main() {
 	st, err := c.Best(ctx)
 	check(err)
 	fmt.Printf("best: t=%.0f live=%d shards=%d score %.1f\n", st.Now, st.Live, st.Shards, st.Result.Score)
-	// /v1/topk is served O(1) from the continuously maintained answer;
-	// ?mode=replay recomputes from a checkpoint and must agree bitwise.
+	// /v1/topk is served O(1) from the continuously maintained answer.
 	tk, err := c.TopK(ctx, 3)
 	check(err)
 	for i, r := range tk.Results {
 		if r.Found {
 			fmt.Printf("top-%d (%s, continuous=%v): score %.1f\n", i+1, tk.Algorithm, tk.Continuous, r.Score)
 		}
-	}
-	rep, err := c.TopKMode(ctx, 3, "replay")
-	check(err)
-	agree := true
-	for i := range tk.Results {
-		if tk.Results[i].Found != rep.Results[i].Found ||
-			math.Float64bits(tk.Results[i].Score) != math.Float64bits(rep.Results[i].Score) {
-			fmt.Printf("top-%d: continuous %.6f != replay %.6f\n", i+1, tk.Results[i].Score, rep.Results[i].Score)
-			agree = false
-		}
-	}
-	if agree {
-		fmt.Println("continuous top-k == checkpoint replay, bit for bit")
 	}
 
 	// 4. Snapshot over HTTP, restore into a fresh server with another

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"surge/internal/core"
 	"surge/internal/geom"
@@ -30,16 +27,6 @@ type Options struct {
 	// point for exact and approximate engines respectively.
 	MaxExact  int
 	MaxApprox int
-	// JSONDir, when non-empty, is where experiments that emit
-	// machine-readable results ("serve" -> BENCH_serve.json, "shards" ->
-	// BENCH_shards.json, "hotpath" -> BENCH_hotpath.json, "topkserve" ->
-	// BENCH_topk.json, "tenancy" -> BENCH_tenancy.json) write their JSON
-	// files. Empty disables the files.
-	JSONDir string
-	// ObsOverheadMaxPct, when > 0, makes the hotpath experiment fail loudly
-	// if the observability instrumentation costs more than this percentage
-	// of sharded ingest throughput (measured obs-on vs obs-off).
-	ObsOverheadMaxPct float64
 }
 
 // DefaultOptions returns laptop-scale defaults.
@@ -57,7 +44,7 @@ func DefaultOptions(out io.Writer) Options {
 
 // Experiments returns the registry of experiment ids in run order.
 func Experiments() []string {
-	return []string{"table1", "fig5", "table2", "fig6", "fig7", "table3", "table4", "fig8", "fig9", "case", "ablation", "roadnet", "shards", "serve", "hotpath", "topkserve", "tenancy"}
+	return []string{"table1", "fig5", "table2", "fig6", "fig7", "table3", "table4", "fig8", "fig9", "case", "ablation", "roadnet"}
 }
 
 // Run executes one experiment by id.
@@ -87,37 +74,9 @@ func Run(id string, o Options) error {
 		return Ablation(o)
 	case "roadnet":
 		return RoadNet(o)
-	case "shards":
-		return ShardScaling(o)
-	case "serve":
-		return Serve(o)
-	case "hotpath":
-		return Hotpath(o)
-	case "topkserve":
-		return TopKServe(o)
-	case "tenancy":
-		return Tenancy(o)
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (known: %v)", id, Experiments())
 	}
-}
-
-// writeJSONReport marshals an experiment's machine-readable report to
-// <JSONDir>/<name> and logs the path. A no-op when JSONDir is unset.
-func (o Options) writeJSONReport(name string, report any) error {
-	if o.JSONDir == "" {
-		return nil
-	}
-	path := filepath.Join(o.JSONDir, name)
-	doc, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(o.Out, "(rows written to %s)\n", path)
-	return nil
 }
 
 // dataset returns the named Table-I dataset with the run's rate scale.

@@ -12,7 +12,11 @@ func BenchmarkKCCSMaintain(b *testing.B) {
 	o := DefaultOptions(nil)
 	d := o.dataset("Taxi")
 	w := defaultWindow("Taxi")
-	objs := toSurgeObjects(genFor(d, w, 100000))
+	gen := genFor(d, w, 100000)
+	objs := make([]surge.Object, len(gen))
+	for i, ob := range gen {
+		objs[i] = surge.Object{X: ob.X, Y: ob.Y, Weight: ob.Weight, Time: ob.T}
+	}
 	det, err := surge.New(surge.CellCSPOT, surge.Options{
 		Width: d.QueryWidth(), Height: d.QueryHeight(), Window: w, Alpha: 0.5,
 	})

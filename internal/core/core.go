@@ -215,12 +215,14 @@ type Engine interface {
 	Best() Result
 }
 
-// TestEngineWrap, when non-nil, wraps every engine the surge package builds.
-// It exists for fault-injection tests only — the serving layer uses it to
-// plant a panicking engine inside a shard worker and assert the pipeline's
-// panic containment end to end. Production code never sets it, so the
-// nil check is the entire steady-state cost.
-var TestEngineWrap func(Engine) Engine
+// TestEngineWrap, when non-nil, wraps every engine the surge package builds:
+// it is handed an Engine or a TopKEngine (a TopKShard where the engine is
+// one) and must return a value of the same interface. It exists for
+// fault-injection tests only — the serving layer uses it to plant a
+// panicking engine inside a shard worker and assert the pipeline's panic
+// containment end to end. Production code never sets it, so the nil check
+// at construction is the entire steady-state cost.
+var TestEngineWrap func(eng any) any
 
 // TopKEngine is the common interface of the top-k detectors.
 type TopKEngine interface {

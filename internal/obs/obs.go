@@ -5,10 +5,6 @@
 // (name, labels) on a Registry — normally the process-wide Default — and
 // render two ways: Prometheus text via WritePrometheus and typed snapshots
 // via Snapshot/HistSnapshot for JSON stats endpoints.
-//
-// Recording sites gate their time.Now calls behind On so benchmark
-// harnesses can price the instrumentation itself (SetEnabled(false) makes
-// every recording site a single atomic load).
 package obs
 
 import (
@@ -21,17 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// disabled is inverted so the zero value means "on" without an init hook.
-var disabled atomic.Bool
-
-// SetEnabled turns recording on or off process-wide. Off, every recording
-// site reduces to one atomic load; registries and metric handles stay valid.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// On reports whether recording is enabled. Instrumentation sites that need
-// a timestamp should check it before calling time.Now.
-func On() bool { return !disabled.Load() }
 
 // Counter is a monotonically increasing uint64.
 type Counter struct{ v atomic.Uint64 }

@@ -117,32 +117,21 @@ func TestConcurrentRecorders(t *testing.T) {
 }
 
 // The record path — the exact sequence the ingest hot path runs — must not
-// allocate, with recording both enabled and disabled.
+// allocate.
 func TestRecordZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	h := r.Duration("surge_test_seconds", "test")
 	c := r.Counter("surge_test_total", "test")
 	g := r.Gauge("surge_test_gauge", "test")
 	allocs := testing.AllocsPerRun(1000, func() {
-		if On() {
-			t0 := time.Now()
-			h.Observe(time.Since(t0))
-			c.Inc()
-			g.Set(42)
-		}
+		t0 := time.Now()
+		h.Observe(time.Since(t0))
+		h.Record(1)
+		c.Inc()
+		g.Set(42)
 	})
 	if allocs != 0 {
 		t.Fatalf("record path allocates %.1f/op, want 0", allocs)
-	}
-	SetEnabled(false)
-	defer SetEnabled(true)
-	allocs = testing.AllocsPerRun(1000, func() {
-		if On() {
-			h.Record(1)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled record path allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -205,7 +194,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestResetAndDisable(t *testing.T) {
+func TestReset(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("surge_r_total", "help")
 	h := r.Values("surge_r_sizes", "help")
@@ -214,14 +203,6 @@ func TestResetAndDisable(t *testing.T) {
 	r.Reset()
 	if c.Value() != 0 || h.Count() != 0 {
 		t.Fatal("Reset must zero metrics")
-	}
-	SetEnabled(false)
-	if On() {
-		t.Fatal("On() must be false after SetEnabled(false)")
-	}
-	SetEnabled(true)
-	if !On() {
-		t.Fatal("On() must be true after SetEnabled(true)")
 	}
 }
 

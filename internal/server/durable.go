@@ -116,6 +116,9 @@ func NewDurable(cfg Config, dc DurableConfig) (*Server, error) {
 	if dc.Dir == "" {
 		return nil, errors.New("server: durable server needs a data directory")
 	}
+	if err := cfg.resolve(); err != nil {
+		return nil, err
+	}
 	if dc.FS == nil {
 		dc.FS = fault.OS
 	}
@@ -127,31 +130,14 @@ func NewDurable(cfg Config, dc DurableConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Assemble the boot registry. A registry checkpoint (v2) restores every
-	// persisted query bitwise and merges in Config.Queries as desired state
+	// Assemble the boot registry. A checkpoint restores every persisted
+	// query bitwise and merges in Config.Queries as desired state
 	// (config-declared ids missing from the checkpoint start fresh; a query
-	// deleted after the checkpoint resurrects — delete it again). A legacy v1
-	// checkpoint seeds the default query only.
+	// deleted after the checkpoint resurrects — delete it again).
 	var seeds []tenantSeed
-	switch {
-	case ck != nil && ck.metas != nil:
-		if cfg.TopK == 0 {
-			cfg.TopK = 5
-		}
-		if cfg.TopK < 1 {
-			return nil, fmt.Errorf("server: invalid TopK %d", cfg.TopK)
-		}
+	if ck != nil {
 		seeds, err = checkpointSeeds(cfg, ck)
-	case ck != nil:
-		cfg.Checkpoint = ck.det
-		fallthrough
-	default:
-		if cfg.TopK == 0 {
-			cfg.TopK = 5
-		}
-		if cfg.TopK < 1 {
-			return nil, fmt.Errorf("server: invalid TopK %d", cfg.TopK)
-		}
+	} else {
 		seeds, err = bootSeeds(cfg)
 	}
 	if err != nil {
@@ -554,13 +540,11 @@ func (s *Server) captureRegistry() (regCapture, error) {
 			idx[sl] = si
 		}
 		rc.metas = append(rc.metas, queryMeta{
-			ID:              t.id,
-			Slot:            si,
-			Algorithm:       t.cfg.Algorithm.String(),
-			Options:         t.cfg.Options,
-			TopK:            t.cfg.TopK,
-			TopKReplayOnly:  t.cfg.TopKReplayOnly,
-			BestFromEngines: t.cfg.BestFromEngines,
+			ID:        t.id,
+			Slot:      si,
+			Algorithm: t.cfg.Algorithm.String(),
+			Options:   t.cfg.Options,
+			TopK:      t.cfg.TopK,
 		})
 		if t.isDefault {
 			rc.defSlot = si
@@ -710,7 +694,7 @@ func decodeWALRecord(b []byte) (src string, seq uint64, chunk uint32, objs []sur
 
 // --- Durable checkpoint wrapper (surge.ckpt) ---
 //
-// Version 2 (registry checkpoint, written by this server):
+// Version 2 (the registry checkpoint):
 //
 //	8 B  magic "SURGEDC2"
 //	8 B  WAL LSN covered by this checkpoint (little-endian)
@@ -719,29 +703,27 @@ func decodeWALRecord(b []byte) (src string, seq uint64, chunk uint32, objs []sur
 //	4 B  engine-slot count N
 //	N x  4 B blob length + detector checkpoint bytes (surge.Restore format)
 //
-// Version 1 ("SURGEDC1", read-compatible) carried a single detector blob
-// instead of the registry; it seeds the default query only.
+// Registry JSON written by earlier releases may carry per-query keys of
+// serve options that no longer exist (replay-only top-k, the dual-engine
+// layout); they are ignored and the query is served from its chain. Version
+// 1 ("SURGEDC1", a single detector blob) is no longer read: boot fails with
+// the remedy.
 //
 // The file is written with WriteFileAtomic, so boot sees either the old
 // checkpoint or the new one, never a torn mix.
 
-var (
-	ckptMagicV1 = [8]byte{'S', 'U', 'R', 'G', 'E', 'D', 'C', '1'}
-	ckptMagic   = [8]byte{'S', 'U', 'R', 'G', 'E', 'D', 'C', '2'}
-)
+var ckptMagic = [8]byte{'S', 'U', 'R', 'G', 'E', 'D', 'C', '2'}
 
 // queryMeta is one registered query's persisted identity: enough to rebuild
 // its tenantConfig at boot without the serve flags. Options round-trips
 // through JSON exactly (Go encodes float64 shortest-round-trip), so a
 // restored config hashes to the same sharing key.
 type queryMeta struct {
-	ID              string        `json:"id"`
-	Slot            int           `json:"slot"` // index into the blob table
-	Algorithm       string        `json:"algorithm"`
-	Options         surge.Options `json:"options"`
-	TopK            int           `json:"topk"`
-	TopKReplayOnly  bool          `json:"topk_replay_only,omitempty"`
-	BestFromEngines bool          `json:"best_from_engines,omitempty"`
+	ID        string        `json:"id"`
+	Slot      int           `json:"slot"` // index into the blob table
+	Algorithm string        `json:"algorithm"`
+	Options   surge.Options `json:"options"`
+	TopK      int           `json:"topk"`
 }
 
 // regCapture is a mutually consistent checkpoint of the whole registry:
@@ -753,16 +735,13 @@ type regCapture struct {
 }
 
 type durableCheckpoint struct {
-	lsn  uint64
-	seqs map[string]seqEntry
-	det  []byte // v1 only: the single detector blob
-
-	// v2 registry: metas is nil on a v1 checkpoint.
+	lsn   uint64
+	seqs  map[string]seqEntry
 	metas []queryMeta
 	slots [][]byte
 }
 
-// checkpointSeeds turns a v2 registry checkpoint into boot seeds. The
+// checkpointSeeds turns a registry checkpoint into boot seeds. The
 // default query and any id also declared in cfg.Queries take their
 // configuration from the config (matching the legacy restore semantics:
 // flags choose algorithm and shard layout, the checkpoint supplies state);
@@ -809,13 +788,7 @@ func checkpointSeeds(cfg Config, ck *durableCheckpoint) ([]tenantSeed, error) {
 			if err != nil {
 				return nil, fmt.Errorf("server: corrupt durable checkpoint: query %q: %w", m.ID, err)
 			}
-			tc = tenantConfig{
-				Algorithm:       alg,
-				Options:         m.Options,
-				TopK:            m.TopK,
-				TopKReplayOnly:  m.TopKReplayOnly,
-				BestFromEngines: m.BestFromEngines,
-			}
+			tc = tenantConfig{Algorithm: alg, Options: m.Options, TopK: m.TopK}
 			if tc.TopK < 1 {
 				tc.TopK = cfg.TopK
 			}
@@ -823,7 +796,7 @@ func checkpointSeeds(cfg Config, ck *durableCheckpoint) ([]tenantSeed, error) {
 		seeds = append(seeds, tenantSeed{id: m.ID, cfg: tc, ckpt: ck.slots[m.Slot], slotTag: m.Slot})
 	}
 	if !seen[DefaultQueryID] {
-		// A v2 checkpoint always records the default query; tolerate its
+		// A checkpoint always records the default query; tolerate its
 		// absence (hand-edited file) by booting it fresh.
 		seeds = append([]tenantSeed{{id: DefaultQueryID, cfg: defaultTenantConfig(cfg), slotTag: -1}}, seeds...)
 	}
@@ -871,8 +844,7 @@ func encodeDurableCheckpoint(lsn uint64, seqs map[string]seqEntry, rc regCapture
 // readDurableCheckpoint loads dir's checkpoint, returning (nil, nil) when
 // none exists yet. A checkpoint that fails to parse is a hard error —
 // atomic writes mean it cannot be a crash artifact, so silently starting
-// empty would discard acknowledged state. Both format versions are read;
-// only v2 is written.
+// empty would discard acknowledged state.
 func readDurableCheckpoint(path string) (*durableCheckpoint, error) {
 	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -887,11 +859,10 @@ func readDurableCheckpoint(path string) (*durableCheckpoint, error) {
 	if len(b) < 24 {
 		return nil, fmt.Errorf("server: %s is not a durable checkpoint (too short)", path)
 	}
-	var v2 bool
-	switch [8]byte(b[:8]) {
-	case ckptMagic:
-		v2 = true
-	case ckptMagicV1:
+	switch string(b[:8]) {
+	case string(ckptMagic[:]):
+	case "SURGEDC1":
+		return nil, fmt.Errorf("server: %s is a SURGEDC1 (single-query) durable checkpoint, which this release no longer reads: boot the previous release on this data directory once — it rewrites the file as SURGEDC2 — then start this one", path)
 	default:
 		return nil, fmt.Errorf("server: %s is not a durable checkpoint (bad magic)", path)
 	}
@@ -906,15 +877,6 @@ func readDurableCheckpoint(path string) (*durableCheckpoint, error) {
 		return bad("dedupe table: " + err.Error())
 	}
 	b = b[sl:]
-	if !v2 {
-		dl := binary.LittleEndian.Uint32(b[:4])
-		b = b[4:]
-		if uint64(len(b)) != uint64(dl) {
-			return bad("detector checkpoint length mismatch")
-		}
-		ck.det = b
-		return ck, nil
-	}
 	ml := binary.LittleEndian.Uint32(b[:4])
 	b = b[4:]
 	if uint64(len(b)) < uint64(ml)+4 {
@@ -922,9 +884,6 @@ func readDurableCheckpoint(path string) (*durableCheckpoint, error) {
 	}
 	if err := json.Unmarshal(b[:ml], &ck.metas); err != nil {
 		return bad("registry: " + err.Error())
-	}
-	if ck.metas == nil {
-		ck.metas = []queryMeta{}
 	}
 	b = b[ml:]
 	n := binary.LittleEndian.Uint32(b[:4])

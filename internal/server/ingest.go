@@ -16,7 +16,6 @@ import (
 
 	"surge"
 	"surge/client"
-	"surge/internal/obs"
 )
 
 // handleIngest streams an NDJSON (default) or CSV batch into the detector.
@@ -76,12 +75,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		chunkIdx          uint32
 		final             surge.Result
 		ackTotal          time.Duration
-		reqStart          time.Time
+		reqStart          = time.Now()
 	)
-	rec := obs.On()
-	if rec {
-		reqStart = time.Now()
-	}
 	apply := func(chunk []surge.Object) error {
 		idx := chunkIdx
 		chunkIdx++
@@ -104,10 +99,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		var res surge.Result
 		var c int
 		var aerr error
-		var t0 time.Time
-		if rec {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		err := s.do(func() {
 			res, c, aerr = s.applyLogged(chunk, seqSrc, seqNum, idx)
 			if aerr == nil && seqSt != nil {
@@ -124,11 +116,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		if rec {
-			d := time.Since(t0)
-			ackTotal += d
-			s.mAck.Observe(d)
-		}
+		d := time.Since(t0)
+		ackTotal += d
+		s.mAck.Observe(d)
 		if aerr != nil {
 			return aerr
 		}
@@ -168,11 +158,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err == nil && len(*chunk) > 0 {
 		err = apply(*chunk)
 	}
-	if rec {
-		// Parse cost is the request time the handler spent outside the
-		// event loop: scanning, decoding and validation.
-		s.mParse.Observe(time.Since(reqStart) - ackTotal)
-	}
+	// Parse cost is the request time the handler spent outside the event
+	// loop: scanning, decoding and validation.
+	s.mParse.Observe(time.Since(reqStart) - ackTotal)
 	if err != nil {
 		s.ingestErr.Add(1)
 		status := http.StatusBadRequest

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -14,40 +15,46 @@ import (
 	"surge/internal/core"
 )
 
-// boomEngine wraps a real shard engine and panics in Process once armed.
+// boomEngine wraps a chain engine and panics in Process once armed.
 type boomEngine struct {
-	core.Engine
+	core.TopKShard
 	arm *atomic.Bool
 }
 
 func (e *boomEngine) Process(ev core.Event) {
 	if e.arm.Load() {
-		panic("injected shard engine panic")
+		panic("injected chain engine panic")
 	}
-	e.Engine.Process(ev)
+	e.TopKShard.Process(ev)
 }
 
-// TestShardPanicDegradesWithoutDeadlock plants a panicking engine inside a
-// shard worker via the core.TestEngineWrap hook and drives the full serving
-// stack over it: the panic must surface as a pipeline error (ingest 5xx,
-// /healthz unhealthy with the panic text) while /v1/best keeps answering
-// from the stale snapshot, and Close must return — the shard barrier may
-// never deadlock on the crashed worker. Run under -race in CI.
+// TestShardPanicDegradesWithoutDeadlock plants a panicking engine inside the
+// maintained chain — on the event loop's slot apply with one shard, inside a
+// shard worker with three — via the core.TestEngineWrap hook and drives the
+// full serving stack over it: the panic must surface as a pipeline error
+// (ingest 5xx, /healthz unhealthy with the panic text) while /v1/best keeps
+// answering from the stale snapshot, and Close must return — the shard
+// barrier may never deadlock on the crashed worker. Run under -race in CI.
 func TestShardPanicDegradesWithoutDeadlock(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testChainPanic(t, shards) })
+	}
+}
+
+func testChainPanic(t *testing.T, shards int) {
 	var arm atomic.Bool
-	core.TestEngineWrap = func(e core.Engine) core.Engine {
-		return &boomEngine{Engine: e, arm: &arm}
+	core.TestEngineWrap = func(e any) any {
+		if ts, ok := e.(core.TopKShard); ok {
+			return &boomEngine{TopKShard: ts, arm: &arm}
+		}
+		return e
 	}
 	defer func() { core.TestEngineWrap = nil }()
 
-	// BestFromEngines keeps the single-region engines alive (the default
-	// chain-serving layout retires them, and the wrap hook only covers
-	// engines built through surge's newEngine).
 	s, _, c := newTestServer(t, Config{
-		Algorithm:       surge.CellCSPOT,
-		Options:         testOptions(3),
-		TimePolicy:      Strict,
-		BestFromEngines: true,
+		Algorithm:  surge.CellCSPOT,
+		Options:    testOptions(shards),
+		TimePolicy: Strict,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

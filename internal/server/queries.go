@@ -161,21 +161,19 @@ func (s *Server) queryInfo(t *tenant) client.QueryInfo {
 	o := sl.det.Options()
 	info := client.QueryInfo{
 		QueryConfig: client.QueryConfig{
-			ID:              t.id,
-			Algorithm:       t.cfg.Algorithm.String(),
-			Width:           o.Width,
-			Height:          o.Height,
-			Window:          o.Window,
-			PastWindow:      o.PastWindow,
-			Alpha:           o.Alpha,
-			TopK:            t.cfg.TopK,
-			TopKReplayOnly:  t.cfg.TopKReplayOnly,
-			BestFromEngines: t.cfg.BestFromEngines,
-			Shards:          sl.statShards,
-			ShardBlockCols:  t.cfg.Options.ShardBlockCols,
+			ID:             t.id,
+			Algorithm:      t.cfg.Algorithm.String(),
+			Width:          o.Width,
+			Height:         o.Height,
+			Window:         o.Window,
+			PastWindow:     o.PastWindow,
+			Alpha:          o.Alpha,
+			TopK:           t.cfg.TopK,
+			Shards:         sl.statShards,
+			ShardBlockCols: t.cfg.Options.ShardBlockCols,
 		},
 		Default:     t.isDefault,
-		Continuous:  !t.cfg.TopKReplayOnly,
+		Continuous:  true,
 		Shared:      sl.refs.Load() > 1,
 		Now:         math.Float64frombits(sl.statNow.Load()),
 		Live:        int(sl.statLive.Load()),

@@ -8,10 +8,10 @@
 // One server hosts a registry of named queries over one shared spatial
 // stream. Each ingested object is parsed, admitted and (on a durable
 // server) logged exactly once, then fanned out to every registered query.
-// Queries are created and deleted at runtime (/v1/queries); the legacy
-// single-query paths address the registry's "default" query. Queries whose
-// configurations agree share engine state (boot-time dedup), so a thousand
-// identical dashboards cost one engine.
+// Queries are created and deleted at runtime (/v1/queries); the bare
+// single-query paths (/v1/best, ...) address the registry's "default" query.
+// Queries whose configurations agree share engine state (boot-time dedup),
+// so a thousand identical dashboards cost one engine.
 //
 // # Concurrency model
 //
@@ -36,12 +36,13 @@
 // stream is exactly the sequence of answer changes a single-process run of
 // the same object sequence (with the same batch boundaries) would observe —
 // down to the bit pattern of the scores for the schedule-independent
-// engines (CCS, B-CCS, Base, GAPS, MGAPS, Oracle). N tenants of identical
+// engines (CCS, B-CCS, Base, GAPS, MGAPS). N tenants of identical
 // configuration answer bitwise identically to N independent single-query
 // servers fed the same stream.
 package server
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
@@ -96,26 +97,17 @@ func ParseTimePolicy(s string) (TimePolicy, error) {
 // Config configures a Server. Algorithm and Options configure the default
 // query's engine (Options.Shards >= 2 serves it from the sharded pipeline)
 // and are the inherited defaults for every entry of Queries.
+//
+// Every query is served by one detector and one maintained top-k chain
+// (surge.Detector.AttachTopKBest): /best is the chain's rank 1, /topk a
+// prefix of its answer. Algorithm must therefore be one whose answer a chain
+// reproduces bitwise — CCS, B-CCS, Base, GAPS or MGAPS (see chainFor).
 type Config struct {
 	Algorithm surge.Algorithm
 	Options   surge.Options
-	// TopK is the k of the continuously maintained top-k detector and the
-	// default k of /v1/topk (0 = 5).
+	// TopK is the k of the maintained chain: the default and the largest k
+	// /v1/topk answers (0 = 5).
 	TopK int
-	// TopKReplayOnly disables the continuously maintained top-k detector:
-	// /v1/topk then answers every query by checkpoint replay (the pre-
-	// maintenance behaviour) and no "topk" SSE events are published.
-	TopKReplayOnly bool
-	// BestFromEngines keeps the legacy dual-engine serving layout: the
-	// single-region engines answer /v1/best while the maintained top-k chain
-	// answers /v1/topk. By default (false), an algorithm whose chain rank-1
-	// answer is bitwise its single-region answer retires the single-region
-	// engines and serves both endpoints from the one maintained chain
-	// (surge.Detector.AttachTopKBest), removing the duplicated per-event
-	// engine maintenance from the ingest path. Ignored when TopKReplayOnly
-	// is set (no chain is maintained) and for algorithms without an exact
-	// chain counterpart (AG2, Oracle).
-	BestFromEngines bool
 	// Queries declares named queries registered at boot alongside the
 	// default query (surged serve -queries). Zero fields inherit the
 	// defaults above; more queries can be added at runtime via
@@ -209,11 +201,6 @@ type Server struct {
 	// s.batch) across requests, keeping the ingest hot path allocation-free.
 	chunkPool sync.Pool
 
-	// ckptPool recycles the checkpoint buffers of replay-mode top-k
-	// queries, so the escape hatch does not allocate a fresh snapshot per
-	// request.
-	ckptPool sync.Pool
-
 	// wal is the durability attachment (NewDurable); nil on a plain server.
 	// Its log is appended on the event loop inside applyLogged.
 	wal   *walState
@@ -253,8 +240,7 @@ type Server struct {
 	snapshots atomic.Uint64
 	restores  atomic.Uint64
 
-	topkFast   atomic.Uint64 // topk queries answered from a maintained snapshot
-	topkReplay atomic.Uint64 // topk queries answered by checkpoint replay
+	topkFast   atomic.Uint64 // topk queries answered (all from the maintained snapshot)
 	topkNotifs atomic.Uint64 // top-k notifications published (all queries)
 
 	log           *slog.Logger  // never nil; discards when Config.Logger is nil
@@ -284,17 +270,27 @@ type Server struct {
 
 // New builds the query registry and starts the event loop.
 func New(cfg Config) (*Server, error) {
-	if cfg.TopK == 0 {
-		cfg.TopK = 5
-	}
-	if cfg.TopK < 1 {
-		return nil, fmt.Errorf("server: invalid TopK %d", cfg.TopK)
+	if err := cfg.resolve(); err != nil {
+		return nil, err
 	}
 	seeds, err := bootSeeds(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return newServer(cfg, seeds)
+}
+
+// resolve applies the TopK default and rejects, before anything is built or
+// opened, a TopK below 1 and a default algorithm no chain serves.
+func (cfg *Config) resolve() error {
+	if cfg.TopK == 0 {
+		cfg.TopK = 5
+	}
+	if cfg.TopK < 1 {
+		return fmt.Errorf("server: invalid TopK %d", cfg.TopK)
+	}
+	_, err := chainFor(cfg.Algorithm)
+	return err
 }
 
 // newServer assembles a server from a boot registry: build one engine slot
@@ -347,7 +343,6 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 		c := make([]surge.Object, 0, s.batch)
 		return &c
 	}
-	s.ckptPool.New = func() any { return new([]byte) }
 	s.hubOcc = obs.Default.Values(obs.MSSEBuffer, "Per-subscriber buffer occupancy observed at broadcast.")
 	s.pool = shard.NewPool(runtime.GOMAXPROCS(0))
 
@@ -395,8 +390,6 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 		"algorithm", cfg.Algorithm.String(),
 		"shards", s.defTenant.slot.Load().statShards,
 		"topk", cfg.TopK,
-		"continuous_topk", !cfg.TopKReplayOnly,
-		"best_from_chain", s.defTenant.cfg.serveBestFromChain(),
 		"restored", cfg.Checkpoint != nil,
 		"queries", len(s.order),
 		"engine_slots", len(s.slots))
@@ -447,9 +440,7 @@ func (s *Server) probeLag() {
 	t0 := time.Now()
 	select {
 	case s.reqs <- func() {
-		if obs.On() {
-			s.mLag.Observe(time.Since(t0))
-		}
+		s.mLag.Observe(time.Since(t0))
 		s.lastTickNano.Store(time.Now().UnixNano())
 	}:
 	case <-s.quit:
@@ -459,11 +450,11 @@ func (s *Server) probeLag() {
 // noteBatch runs on the event loop after a batch lands on every slot:
 // stamp the ingest clock, refresh the global mirrors, price the apply and
 // log the first degraded-mode transition.
-func (s *Server) noteBatch(t0 time.Time, rec bool, err error) {
+func (s *Server) noteBatch(t0 time.Time, err error) {
 	now := time.Now()
 	s.lastIngestNano.Store(now.UnixNano())
 	s.statNow.Store(math.Float64bits(s.clock))
-	if rec {
+	if !t0.IsZero() { // zero: the apply panicked, there is no duration to price
 		s.mApply.Observe(now.Sub(t0))
 	}
 	if err != nil && !s.degradedOnce {
@@ -531,16 +522,10 @@ func (s *Server) runLoopOp(fn func()) {
 // call allocates anyway, so the hot path gains no allocation.
 func (s *Server) do(fn func()) error {
 	ran := make(chan struct{})
-	rec := obs.On()
-	var t0 time.Time
-	if rec {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	select {
 	case s.reqs <- func() {
-		if rec {
-			s.mQueueWait.Observe(time.Since(t0))
-		}
+		s.mQueueWait.Observe(time.Since(t0))
 		defer close(ran)
 		fn()
 	}:
@@ -687,47 +672,42 @@ func (s *Server) DetectorOptions() (surge.Options, error) {
 // tenantHandler is an HTTP handler scoped to one registered query.
 type tenantHandler func(t *tenant, w http.ResponseWriter, r *http.Request)
 
-// legacy adapts a tenant handler to the legacy single-query paths, which
-// address the default query.
-func (s *Server) legacy(h tenantHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { h(s.defTenant, w, r) }
-}
-
-// scoped adapts a tenant handler to /v1/queries/{id}/ paths: resolve the id
-// against the registry, 404 with code "unknown_query" when absent.
-func (s *Server) scoped(h tenantHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		s.tenMu.RLock()
-		t := s.tenants[id]
-		s.tenMu.RUnlock()
-		if t == nil {
-			writeErrorCode(w, http.StatusNotFound, client.CodeUnknownQuery, 0,
-				fmt.Errorf("server: unknown query %q", id), 0)
-			return
-		}
-		h(t, w, r)
+// handleTenant mounts h on each pattern, "METHOD path". The {id} path value
+// picks the query — empty, as on the /v1/<verb> paths that carry none, means
+// the default query — and an id the registry does not hold answers 404 with
+// code "unknown_query".
+func (s *Server) handleTenant(h tenantHandler, patterns ...string) {
+	for _, p := range patterns {
+		s.mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
+			t := s.defTenant
+			if id := r.PathValue("id"); id != "" {
+				s.tenMu.RLock()
+				t = s.tenants[id]
+				s.tenMu.RUnlock()
+				if t == nil {
+					writeErrorCode(w, http.StatusNotFound, client.CodeUnknownQuery, 0,
+						fmt.Errorf("server: unknown query %q", id), 0)
+					return
+				}
+			}
+			h(t, w, r)
+		})
 	}
 }
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	s.mux.HandleFunc("GET /v1/best", s.legacy(s.handleBest))
-	s.mux.HandleFunc("GET /v1/topk", s.legacy(s.handleTopK))
-	s.mux.HandleFunc("GET /v1/subscribe", s.legacy(s.handleSubscribe))
-	s.mux.HandleFunc("POST /v1/snapshot", s.legacy(s.handleSnapshot))
-	s.mux.HandleFunc("POST /v1/restore", s.legacy(s.handleRestore))
+	s.handleTenant(s.handleBest, "GET /v1/best", "GET /v1/queries/{id}/best")
+	s.handleTenant(s.handleTopK, "GET /v1/topk", "GET /v1/queries/{id}/topk")
+	s.handleTenant(s.handleSubscribe, "GET /v1/subscribe", "GET /v1/queries/{id}/subscribe")
+	s.handleTenant(s.handleSnapshot, "POST /v1/snapshot", "POST /v1/queries/{id}/snapshot")
+	s.handleTenant(s.handleRestore, "POST /v1/restore", "POST /v1/queries/{id}/restore")
+	s.handleTenant(s.handleQueryStats, "GET /v1/queries/{id}/stats")
+	s.handleTenant(s.handleQueryInfo, "GET /v1/queries/{id}")
+	s.handleTenant(s.handleQueryDelete, "DELETE /v1/queries/{id}")
 	s.mux.HandleFunc("GET /v1/queries", s.handleQueryList)
 	s.mux.HandleFunc("POST /v1/queries", s.handleQueryCreate)
-	s.mux.HandleFunc("GET /v1/queries/{id}", s.scoped(s.handleQueryInfo))
-	s.mux.HandleFunc("DELETE /v1/queries/{id}", s.scoped(s.handleQueryDelete))
-	s.mux.HandleFunc("GET /v1/queries/{id}/best", s.scoped(s.handleBest))
-	s.mux.HandleFunc("GET /v1/queries/{id}/topk", s.scoped(s.handleTopK))
-	s.mux.HandleFunc("GET /v1/queries/{id}/subscribe", s.scoped(s.handleSubscribe))
-	s.mux.HandleFunc("GET /v1/queries/{id}/stats", s.scoped(s.handleQueryStats))
-	s.mux.HandleFunc("POST /v1/queries/{id}/snapshot", s.scoped(s.handleSnapshot))
-	s.mux.HandleFunc("POST /v1/queries/{id}/restore", s.scoped(s.handleRestore))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -776,15 +756,11 @@ func (s *Server) applyBatch(objs []surge.Object) (res surge.Result, clamped int,
 			err = fmt.Errorf("%w: batch apply panicked: %v", errPipeline, r)
 			s.log.Error("panic in batch apply recovered; batch rejected",
 				"panic", r, "stack", string(debug.Stack()))
-			s.noteBatch(time.Time{}, false, err)
+			s.noteBatch(time.Time{}, err)
 		}
 	}()
-	rec := obs.On()
-	var t0 time.Time
-	if rec {
-		t0 = time.Now()
-		s.mBatchObjs.Record(uint64(len(objs)))
-	}
+	t0 := time.Now()
+	s.mBatchObjs.Record(uint64(len(objs)))
 	policy := s.cfg.TimePolicy
 	if len(s.slots) == 1 {
 		// Single-slot registry: apply inline, no pool hop — the dominant
@@ -833,7 +809,7 @@ func (s *Server) applyBatch(objs []surge.Object) (res surge.Result, clamped int,
 	} else {
 		err = firstErr
 	}
-	s.noteBatch(t0, rec, firstErr)
+	s.noteBatch(t0, firstErr)
 	return res, clamped, err
 }
 
@@ -853,10 +829,7 @@ func (s *Server) publishTenant(t *tenant, sl *engineSlot) {
 	t.notifs.Add(1)
 	s.notifs.Add(1)
 	n := client.Notification{Seq: t.seq, Time: sl.pendNow, Result: wire}
-	f := frame{eid: t.eid, burst: n}
-	if obs.On() {
-		f.pub = time.Now()
-	}
+	f := frame{eid: t.eid, burst: n, pub: time.Now()}
 	d := t.hub.broadcast(f)
 	t.dropped.Add(d)
 	s.dropped.Add(d)
@@ -869,15 +842,12 @@ func (s *Server) publishTenant(t *tenant, sl *engineSlot) {
 // a restore that reproduced the same answer — is adopted silently.
 func (s *Server) refreshTenantTopK(t *tenant, sl *engineSlot) {
 	snap := sl.tkSnap
-	if snap == nil {
-		return
-	}
 	old := t.topkSnap.Load()
 	if old == snap {
 		return
 	}
 	t.topkSnap.Store(snap)
-	if old != nil && topkWireEqual(old, snap) {
+	if topkWireEqual(old, snap) {
 		return
 	}
 	t.tkSeq++
@@ -890,10 +860,7 @@ func (s *Server) refreshTenantTopK(t *tenant, sl *engineSlot) {
 		K:       snap.K,
 		Results: snap.Results,
 	}
-	f := frame{eid: t.eid, topk: true, tk: n}
-	if obs.On() {
-		f.pub = time.Now()
-	}
+	f := frame{eid: t.eid, topk: true, tk: n, pub: time.Now()}
 	d := t.hub.broadcast(f)
 	t.dropped.Add(d)
 	s.dropped.Add(d)
@@ -1094,126 +1061,29 @@ func (s *Server) handleBest(t *tenant, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// handleTopK serves one query's top-k bursty regions. The fast path — the
-// default whenever the query maintains continuous top-k and the requested
-// k is covered — is one atomic load of the snapshot the event loop keeps
-// current: O(1) per request, off the loop, allocation-free. The greedy
-// chain is prefix-stable (rank i never depends on ranks > i), so any k <=
-// the maintained K is served as a prefix of the snapshot.
-//
-// ?mode=replay is the escape hatch (and the path for k beyond the
-// maintained K): the query's live windows are checkpointed on the loop into
-// a pooled buffer, then replayed into a fresh top-k detector off the loop,
-// so even an expensive replay query never stalls ingestion. The canonically
-// rescored kCCS makes both paths report bitwise identical scores.
+// handleTopK serves one query's top-k bursty regions: one atomic load of the
+// snapshot the event loop keeps current — O(1) per request, off the loop,
+// allocation-free. The greedy chain is prefix-stable (rank i never depends
+// on ranks > i), so any k up to the maintained one is a prefix of the
+// snapshot; a larger k is a 400 (register a query with a larger topk).
 func (s *Server) handleTopK(t *tenant, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	k := t.cfg.TopK
-	if qk := q.Get("k"); qk != "" {
-		v, err := strconv.Atoi(qk)
-		if err != nil || v < 1 || v > 1000 {
+	out := *t.topkSnap.Load()
+	if qk := r.URL.Query().Get("k"); qk != "" {
+		k, err := strconv.Atoi(qk)
+		if err != nil || k < 1 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("server: invalid k %q", qk), 0)
 			return
 		}
-		k = v
-	}
-	mode := q.Get("mode")
-	switch mode {
-	case "", "auto", "continuous", "replay":
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: unknown top-k mode %q (want continuous or replay)", mode), 0)
-		return
-	}
-	if mode != "replay" {
-		if snap := t.topkSnap.Load(); snap != nil && k <= snap.K {
-			t.topkFast.Add(1)
-			s.topkFast.Add(1)
-			out := *snap
-			if k < snap.K {
-				out.K = k
-				out.Results = snap.Results[:k]
-			}
-			writeJSON(w, out)
-			return
-		}
-		if mode == "continuous" {
+		if k > out.K {
 			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("server: no maintained top-k covers k=%d for query %q (maintained k=%d, continuous=%v); drop mode or use mode=replay",
-					k, t.id, t.cfg.TopK, !t.cfg.TopKReplayOnly), 0)
+				fmt.Errorf("server: k=%d exceeds the maintained k=%d of query %q", k, out.K, t.id), 0)
 			return
 		}
+		out.K, out.Results = k, out.Results[:k]
 	}
-	t.topkReplay.Add(1)
-	s.topkReplay.Add(1)
-	bufp := s.ckptPool.Get().(*[]byte)
-	defer s.ckptPool.Put(bufp)
-	var data []byte
-	var cerr error
-	if err := s.do(func() {
-		if t.dead {
-			cerr = errUnknownQuery
-			return
-		}
-		data, cerr = t.slot.Load().det.AppendCheckpoint((*bufp)[:0])
-		s.snapshots.Add(1)
-		t.snapshots.Add(1)
-	}); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err, 0)
-		return
-	}
-	if cerr != nil {
-		if errors.Is(cerr, errUnknownQuery) {
-			writeErrorCode(w, http.StatusNotFound, client.CodeUnknownQuery, 0, cerr, 0)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, cerr, 0)
-		return
-	}
-	*bufp = data // keep the grown capacity pooled for the next query
-	alg := topKAlgorithm(t.cfg.Algorithm)
-	// Replay answers one request and is thrown away: restore into the
-	// single-engine path regardless of the checkpoint's recorded shard
-	// count (spinning a shard pipeline up per request would cost more than
-	// the query; the sharded and single-engine chains answer identically).
-	td, err := surge.RestoreTopKSharded(alg, data, k, 0, 0)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err, 0)
-		return
-	}
-	results := td.BestK()
-	out := client.TopK{K: k, Algorithm: alg.String(), Results: make([]client.Result, len(results))}
-	for i, res := range results {
-		out.Results[i] = client.FromResult(res)
-	}
+	t.topkFast.Add(1)
+	s.topkFast.Add(1)
 	writeJSON(w, out)
-}
-
-// topKAlgorithm maps the serving algorithm to its top-k variant, falling
-// back to the paper's exact kCCS for algorithms without one.
-func topKAlgorithm(alg surge.Algorithm) surge.Algorithm {
-	switch alg {
-	case surge.CellCSPOT, surge.GridApprox, surge.MultiGrid, surge.Oracle:
-		return alg
-	default:
-		return surge.CellCSPOT
-	}
-}
-
-// chainServesBest reports whether the maintained chain's rank-1 region is
-// bitwise the algorithm's single-region answer, making serve-from-chain
-// (AttachTopKBest) exact: the exact family (CCS, B-CCS, Base — all report
-// the exact bursty region the kCCS chain's first problem solves) and the
-// grid approximations paired with their own chains (GAPS with kGAPS, MGAPS
-// with kMGAPS). AG2 answers differ from the exact chain's, and the Oracle
-// top-k uses its own recomputation fold, so both keep the dual-engine
-// layout.
-func chainServesBest(alg surge.Algorithm) bool {
-	switch alg {
-	case surge.CellCSPOT, surge.StaticBound, surge.Baseline, surge.GridApprox, surge.MultiGrid:
-		return true
-	default:
-		return false
-	}
 }
 
 func (s *Server) handleSnapshot(t *tenant, w http.ResponseWriter, r *http.Request) {
@@ -1351,15 +1221,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		var derr error
 		for _, t := range s.order {
 			sl := t.slot.Load()
-			if e := sl.det.Err(); e != nil {
+			if e := cmp.Or(sl.failed, sl.det.Err(), sl.tdet.Err()); e != nil {
 				derr = fmt.Errorf("query %q: %w", t.id, e)
 				break
-			}
-			if sl.tdet != nil {
-				if e := sl.tdet.Err(); e != nil {
-					derr = fmt.Errorf("query %q: %w", t.id, e)
-					break
-				}
 			}
 		}
 		if derr != nil {
@@ -1420,18 +1284,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetric(w, "surge_notifications_total", "counter", "Bursty-region change notifications published (all queries).", float64(s.notifs.Load()))
 	writeMetric(w, "surge_notifications_dropped_total", "counter", "Notifications lost to slow subscribers (all queries).", float64(s.dropped.Load()))
 	writeMetric(w, "surge_topk_fast_queries_total", "counter", "Top-k requests served from a maintained snapshot.", float64(s.topkFast.Load()))
-	writeMetric(w, "surge_topk_replay_queries_total", "counter", "Top-k requests served by checkpoint replay.", float64(s.topkReplay.Load()))
 	writeMetric(w, "surge_topk_notifications_total", "counter", "Top-k change notifications published (all queries).", float64(s.topkNotifs.Load()))
-	continuous := 0.0
-	if dslot.tdet != nil {
-		continuous = 1
-	}
-	writeMetric(w, "surge_topk_continuous", "gauge", "Whether a continuously maintained top-k detector is serving the default query's /v1/topk.", continuous)
-	fromChain := 0.0
-	if dt.cfg.serveBestFromChain() {
-		fromChain = 1
-	}
-	writeMetric(w, "surge_best_from_chain", "gauge", "Whether /v1/best is served from the maintained top-k chain's rank-1 region.", fromChain)
 	writeMetric(w, "surge_topk_k", "gauge", "k of the default query's maintained top-k detector.", float64(s.cfg.TopK))
 	writeMetric(w, "surge_snapshots_total", "counter", "Checkpoints taken.", float64(s.snapshots.Load()))
 	writeMetric(w, "surge_restores_total", "counter", "Checkpoints restored.", float64(s.restores.Load()))

@@ -41,7 +41,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SSEBuffer:     histVals(s.hubOcc),
 		// The shard pipeline and top-k chain register these from
 		// internal/shard; get-or-create hands back the same instances (or
-		// empty ones on an unsharded, replay-only server).
+		// empty ones on an unsharded server).
 		ShardFlush:    histVals(obs.Default.Values(obs.MShardFlush, "")),
 		ShardBarrier:  histSecs(obs.Default.Duration(obs.MShardBarrier, "")),
 		TopKResolve:   histSecs(obs.Default.Duration(obs.MTopKResolve, "")),
@@ -106,7 +106,7 @@ func (s *Server) tenantStats(t *tenant) client.QueryStats {
 		ID:         t.id,
 		Algorithm:  t.cfg.Algorithm.String(),
 		TopK:       t.cfg.TopK,
-		Continuous: !t.cfg.TopKReplayOnly,
+		Continuous: true,
 		Shards:     sl.statShards,
 		Now:        math.Float64frombits(sl.statNow.Load()),
 		Live:       int(sl.statLive.Load()),
@@ -116,7 +116,6 @@ func (s *Server) tenantStats(t *tenant) client.QueryStats {
 		Dropped:           t.dropped.Load(),
 		Subscribers:       t.hub.count(),
 		TopKFast:          t.topkFast.Load(),
-		TopKReplay:        t.topkReplay.Load(),
 		Snapshots:         t.snapshots.Load(),
 		Restores:          t.restores.Load(),
 		Clamped:           t.clamped.Load(),

@@ -28,9 +28,8 @@ type frame struct {
 	burst client.Notification
 	tk    client.TopKNotification
 	// pub is when the event loop published the frame; the subscriber
-	// handler records publish->write delivery latency from it. Zero when
-	// recording was off at publish (and ignored for backlog replays, whose
-	// stamps describe a past delivery, not this one).
+	// handler records publish->write delivery latency from it (ignored for
+	// backlog replays, whose stamps describe a past delivery, not this one).
 	pub time.Time
 }
 
@@ -177,9 +176,8 @@ func (h *hub) broadcast(f frame) uint64 {
 		}
 	}
 	var lost uint64
-	rec := h.occ != nil && obs.On()
 	for sub := range h.subs {
-		if rec {
+		if h.occ != nil {
 			h.occ.Record(uint64(len(sub.ch)))
 		}
 		if sub.trySend(f) {
@@ -311,9 +309,7 @@ func (s *Server) handleSubscribe(t *tenant, w http.ResponseWriter, r *http.Reque
 				return
 			}
 			fl.Flush()
-			if !f.pub.IsZero() && obs.On() {
-				s.mSSEDeliver.Observe(time.Since(f.pub))
-			}
+			s.mSSEDeliver.Observe(time.Since(f.pub))
 		case <-ticker.C:
 			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
 				return

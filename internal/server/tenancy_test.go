@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -186,6 +187,22 @@ func TestQueryRegistryCRUD(t *testing.T) {
 		var werr *client.Error
 		if !errors.As(err, &werr) || werr.Status != http.StatusBadRequest {
 			t.Fatalf("create %+v = %v, want 400", qc, err)
+		}
+	}
+	// The chainless baselines are not served: 400 naming the served set,
+	// at create and at boot alike.
+	for _, alg := range []string{"Oracle", "aG2"} {
+		_, err := c.CreateQuery(ctx, client.QueryConfig{ID: "baseline", Algorithm: alg})
+		var werr *client.Error
+		if !errors.As(err, &werr) || werr.Status != http.StatusBadRequest ||
+			!strings.Contains(werr.Err, "served: CCS, B-CCS, Base, GAPS, MGAPS") {
+			t.Fatalf("create with algorithm %s = %v, want a 400 naming the served algorithms", alg, err)
+		}
+	}
+	for _, alg := range []surge.Algorithm{surge.Oracle, surge.AG2} {
+		if _, err := New(Config{Algorithm: alg, Options: testOptions(1)}); err == nil ||
+			!strings.Contains(err.Error(), "served: CCS, B-CCS, Base, GAPS, MGAPS") {
+			t.Fatalf("New with algorithm %v = %v, want an error naming the served algorithms", alg, err)
 		}
 	}
 
@@ -497,45 +514,106 @@ func TestDurableMultiQueryRecovery(t *testing.T) {
 	}
 }
 
-// TestDurableV1CheckpointCompat boots the multi-query server from a
-// pre-registry ("SURGEDC1") checkpoint file: the single detector blob must
-// seed the default query, and the next persisted checkpoint upgrades the
-// file to the registry format.
-func TestDurableV1CheckpointCompat(t *testing.T) {
+// TestDurableLegacyCheckpointFiles pins how boot treats surge.ckpt files
+// written by earlier releases. A pre-registry "SURGEDC1" file is no longer
+// read: boot must abort naming the format and the remedy, never report "bad
+// magic" or start empty. A "SURGEDC2" file whose registry JSON still carries
+// the removed per-query topk_replay_only / best_from_engines keys must boot
+// with the keys ignored and serve that query from its chain.
+func TestDurableLegacyCheckpointFiles(t *testing.T) {
 	objs := testObjects(53, 400, 4)
 	cfg := Config{Options: testOptions(1), BatchSize: 64}
+	ctx := context.Background()
+	oldQuery := client.QueryConfig{ID: "old", Window: 45}
 
-	// Reference detector state, checkpointed the way v1 servers did.
-	_, _, ref := newTestServer(t, cfg)
-	streamBatches(t, ref, objs[:300], 50)
-	ck, err := ref.Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := append([]byte{}, ckptMagicV1[:]...)
-	v1 = binary.LittleEndian.AppendUint64(v1, 0)
-	v1 = binary.LittleEndian.AppendUint32(v1, 2)
-	v1 = append(v1, '{', '}')
-	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(ck)))
-	v1 = append(v1, ck...)
+	// A clean shutdown leaves a SURGEDC2 file recording the default query and
+	// a runtime-created one (whose configuration lives only in the file).
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "surge.ckpt"), v1, 0o644); err != nil {
+	s1, _, c1 := newDurableTestServer(t, dir, cfg, DurableConfig{Sync: wal.SyncOff})
+	if _, err := c1.CreateQuery(ctx, oldQuery); err != nil {
 		t.Fatal(err)
 	}
-
-	s, _, c := newDurableTestServer(t, dir, cfg, DurableConfig{Sync: wal.SyncOff})
-	streamBatches(t, c, objs[300:], 50)
-	streamBatches(t, ref, objs[300:], 50)
-	assertQueriesAgree(t, "default from v1 checkpoint", c, ref)
-	if _, err := s.Shutdown(); err != nil {
+	streamBatches(t, c1, objs[:300], 50)
+	if _, err := s1.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	ck2, err := readDurableCheckpoint(filepath.Join(dir, "surge.ckpt"))
+	s1.Close()
+	ck, err := readDurableCheckpoint(filepath.Join(dir, "surge.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck2.metas == nil || len(ck2.metas) != 1 || ck2.metas[0].ID != DefaultQueryID {
-		t.Fatalf("shutdown did not upgrade the checkpoint to the registry format: %+v", ck2.metas)
+	if len(ck.metas) != 2 || len(ck.slots) != 2 {
+		t.Fatalf("checkpoint holds %d queries on %d slots, want 2 on 2", len(ck.metas), len(ck.slots))
+	}
+
+	// sections appends length-prefixed sections to a file under assembly.
+	sections := func(b []byte, secs ...[]byte) []byte {
+		for _, sec := range secs {
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(sec)))
+			b = append(b, sec...)
+		}
+		return b
+	}
+	header := func(magic string) []byte {
+		return binary.LittleEndian.AppendUint64([]byte(magic), ck.lsn)
+	}
+	registry, err := json.Marshal(ck.metas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyKeys := strings.ReplaceAll(string(registry), `"topk":5}`,
+		`"topk":5,"topk_replay_only":true,"best_from_engines":true}`)
+	if strings.Count(legacyKeys, "topk_replay_only") != 2 {
+		t.Fatalf("registry JSON not patched: %s", registry)
+	}
+	v1 := sections(header("SURGEDC1"), []byte("{}"), ck.slots[0])
+	v2 := sections(header("SURGEDC2"), []byte("{}"), []byte(legacyKeys))
+	v2 = binary.LittleEndian.AppendUint32(v2, uint32(len(ck.slots)))
+	v2 = sections(v2, ck.slots...)
+
+	for _, tc := range []struct {
+		name    string
+		file    []byte
+		wantErr []string // substrings of the boot error; nil = must boot
+	}{
+		{"SURGEDC1", v1, []string{"SURGEDC1", "no longer reads", "previous release", "SURGEDC2"}},
+		{"SURGEDC2 with removed registry keys", v2, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "surge.ckpt"), tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantErr != nil {
+				_, err := NewDurable(cfg, DurableConfig{Dir: dir, Sync: wal.SyncOff, CheckpointEvery: -1})
+				if err == nil {
+					t.Fatal("boot accepted the file")
+				}
+				for _, want := range tc.wantErr {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("boot error %q does not mention %q", err, want)
+					}
+				}
+				return
+			}
+			_, _, c := newDurableTestServer(t, dir, cfg, DurableConfig{Sync: wal.SyncOff})
+			_, _, ref := newTestServer(t, cfg)
+			if _, err := ref.CreateQuery(ctx, oldQuery); err != nil {
+				t.Fatal(err)
+			}
+			streamBatches(t, ref, objs[:300], 50)
+			streamBatches(t, c, objs[300:], 50)
+			streamBatches(t, ref, objs[300:], 50)
+			assertQueriesAgree(t, "default", c, ref)
+			assertQueriesAgree(t, "query with removed keys", c.Query("old"), ref.Query("old"))
+			tk, err := c.Query("old").TopK(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tk.Continuous || tk.K != 5 {
+				t.Fatalf("query with removed keys not served from its chain: %+v", tk)
+			}
+		})
 	}
 }
 

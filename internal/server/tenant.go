@@ -20,11 +20,9 @@ const DefaultQueryID = "default"
 // are answer-identical by construction, which is what lets the registry
 // host them on one shared engine slot.
 type tenantConfig struct {
-	Algorithm       surge.Algorithm
-	Options         surge.Options
-	TopK            int
-	TopKReplayOnly  bool
-	BestFromEngines bool
+	Algorithm surge.Algorithm
+	Options   surge.Options
+	TopK      int
 }
 
 // key renders the engine-defining configuration as a slot-sharing key.
@@ -36,25 +34,36 @@ func (c tenantConfig) key() string {
 		area = fmt.Sprintf("%v", *c.Options.Area)
 	}
 	o := c.Options
-	return fmt.Sprintf("%d|%v|%v|%v|%v|%v|%s|%v|%t|%d|%d|%d|%d|%t|%t",
+	return fmt.Sprintf("%d|%v|%v|%v|%v|%v|%s|%v|%t|%d|%d|%d|%d",
 		c.Algorithm, o.Width, o.Height, o.Window, o.PastWindow, o.Alpha,
 		area, o.AG2Gamma, o.CountWindows, o.Shards, o.ShardBlockCols,
-		o.ShardFlushEvents, c.TopK, c.TopKReplayOnly, c.BestFromEngines)
+		o.ShardFlushEvents, c.TopK)
 }
 
-// serveBestFromChain reports whether this configuration retires the
-// single-region engines and serves best from the maintained chain's rank-1
-// region (see Config.BestFromEngines).
-func (c tenantConfig) serveBestFromChain() bool {
-	return !c.TopKReplayOnly && !c.BestFromEngines && chainServesBest(c.Algorithm)
+// chainFor maps a served algorithm to the maintained top-k chain whose
+// rank-1 region is bitwise that algorithm's single-region answer: the exact
+// family (CCS, B-CCS, Base) all report the region the kCCS chain's first
+// problem solves, and the grid approximations pair with their own chains
+// (GAPS with kGAPS, MGAPS with kMGAPS). aG2 and Oracle have no such chain,
+// so they are not served; they stay library and surgebench baselines.
+func chainFor(alg surge.Algorithm) (surge.Algorithm, error) {
+	switch alg {
+	case surge.CellCSPOT, surge.StaticBound, surge.Baseline:
+		return surge.CellCSPOT, nil
+	case surge.GridApprox, surge.MultiGrid:
+		return alg, nil
+	default:
+		return 0, fmt.Errorf("server: algorithm %v is not served (served: CCS, B-CCS, Base, GAPS, MGAPS)", alg)
+	}
 }
 
-// engineSlot hosts one detector (plus its maintained top-k chain) for one
-// or more tenants of identical configuration. Slots are pinned to a worker
-// of the server's shared tenant pool: every ingest batch runs each slot's
-// apply on its worker, the event loop waits at the pool barrier, then reads
-// the pend* results — so slot state needs no lock, exactly like the old
-// single-detector loop ownership, just with N islands instead of one.
+// engineSlot hosts one detector and the maintained top-k chain that answers
+// for it (best is the chain's rank 1) for one or more tenants of identical
+// configuration. Slots are pinned to a worker of the server's shared tenant
+// pool: every ingest batch runs each slot's apply on its worker, the event
+// loop waits at the pool barrier, then reads the pend* results — so slot
+// state needs no lock, exactly like the old single-detector loop ownership,
+// just with N islands instead of one.
 //
 // Sharing happens only at registration time (boot grouping, never
 // retroactively), and a live restore unshares: the restored tenant gets a
@@ -66,7 +75,7 @@ type engineSlot struct {
 	refs   atomic.Int32 // tenants bound to this slot; loop-owned writes
 
 	det  *surge.Detector
-	tdet *surge.TopKDetector // nil when cfg.TopKReplayOnly
+	tdet *surge.TopKDetector // the chain serving best and top-k; never nil
 
 	// clock is this slot's stream clock: the largest timestamp its engine
 	// has ingested. Per-slot, not global, so a tenant created mid-stream or
@@ -81,6 +90,12 @@ type engineSlot struct {
 	pendClamped  int
 	pendErr      error
 	pendPanicked bool
+
+	// failed is the panic that interrupted an apply. The engine saw only
+	// part of that batch, so — like a shard pipeline whose worker panicked —
+	// the slot refuses every later batch and serves its last good answer;
+	// /healthz reports it. Written by apply, read by the loop between batches.
+	failed error
 
 	// scratch receives a copy of the shared ingest chunk when the clamp
 	// policy must lift timestamps for this slot: the chunk is read-only
@@ -107,12 +122,16 @@ type engineSlot struct {
 // into pendErr/pendPanicked so one broken tenant engine never takes the
 // worker, the loop, or the other tenants down.
 func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
-	sl.pendRes, sl.pendClamped, sl.pendErr, sl.pendPanicked = surge.Result{}, 0, nil, false
+	sl.pendRes, sl.pendClamped, sl.pendErr, sl.pendPanicked = surge.Result{}, 0, sl.failed, sl.failed != nil
+	if sl.failed != nil {
+		return
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			sl.pendRes, sl.pendClamped = surge.Result{}, 0
 			sl.pendErr = fmt.Errorf("%w: batch apply panicked: %v", errPipeline, r)
 			sl.pendPanicked = true
+			sl.failed = sl.pendErr
 			msg := sl.pendErr.Error()
 			sl.errMsg.Store(&msg)
 		}
@@ -176,9 +195,6 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
 // maintained answer changed (bitwise). The snapshot pointer is the change
 // signal the loop uses per tenant: a new pointer means a new answer.
 func (sl *engineSlot) refreshTopKLocal() {
-	if sl.tdet == nil {
-		return
-	}
 	res := sl.tdet.BestK()
 	if topkEqual(res, sl.lastTopK) {
 		return
@@ -249,7 +265,6 @@ type tenant struct {
 	dropped    atomic.Uint64
 	topkNotifs atomic.Uint64
 	topkFast   atomic.Uint64
-	topkReplay atomic.Uint64
 	snapshots  atomic.Uint64
 	restores   atomic.Uint64
 	clamped    atomic.Uint64
@@ -273,8 +288,11 @@ type tenantSeed struct {
 // define the engine; cfg supplies algorithm and shard layout, as
 // surge.RestoreShardedTuned documents).
 func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
+	chain, err := chainFor(cfg.Algorithm)
+	if err != nil {
+		return nil, err
+	}
 	var det *surge.Detector
-	var err error
 	if ckpt != nil {
 		det, err = surge.RestoreShardedTuned(cfg.Algorithm, ckpt,
 			cfg.Options.Shards, cfg.Options.ShardBlockCols, cfg.Options.ShardFlushEvents)
@@ -284,33 +302,14 @@ func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, clock: det.Now()}
-	if !cfg.TopKReplayOnly {
-		alg := topKAlgorithm(cfg.Algorithm)
-		var td *surge.TopKDetector
-		if cfg.serveBestFromChain() {
-			td, err = det.AttachTopKBest(alg, cfg.TopK)
-		} else {
-			td, err = det.AttachTopK(alg, cfg.TopK)
-		}
-		if err != nil {
-			det.Close()
-			return nil, err
-		}
-		sl.tdet = td
-		sl.lastTopK = append(sl.lastTopK, td.BestK()...)
-		snap := &client.TopK{
-			K:          td.K(),
-			Algorithm:  td.Algorithm().String(),
-			Continuous: true,
-			Results:    make([]client.Result, len(sl.lastTopK)),
-		}
-		for i, r := range sl.lastTopK {
-			snap.Results[i] = client.FromResult(r)
-		}
-		sl.tkSnap = snap
+	td, err := det.AttachTopKBest(chain, cfg.TopK)
+	if err != nil {
+		det.Close()
+		return nil, err
 	}
-	sl.pendRes = det.Best() // serve-from-chain may have swapped the source
+	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, tdet: td, clock: det.Now()}
+	sl.refreshTopKLocal() // BestK has k >= 1 slots, so the first call always builds tkSnap
+	sl.pendRes = det.Best()
 	sl.pendNow = det.Now()
 	sl.statShards = det.Shards()
 	sl.statNow.Store(math.Float64bits(sl.clock))
@@ -327,9 +326,7 @@ func (s *Server) newTenant(id string, cfg tenantConfig, sl *engineSlot) *tenant 
 	t.last = sl.pendRes
 	lw := client.FromResult(sl.pendRes)
 	t.lastWire.Store(&lw)
-	if sl.tkSnap != nil {
-		t.topkSnap.Store(sl.tkSnap)
-	}
+	t.topkSnap.Store(sl.tkSnap)
 	t.hub.subs = make(map[*subscriber]struct{})
 	t.hub.ringCap = s.ringCap
 	t.hub.occ = s.hubOcc
@@ -373,15 +370,12 @@ func validQueryID(id string) bool {
 // values, TopK 0 inherits the default k, Shards 0 selects the single-engine
 // layout that rides the shared tenant workers.
 func resolveQuery(cfg Config, qc client.QueryConfig) (tenantConfig, error) {
-	tc := tenantConfig{
-		Algorithm:       cfg.Algorithm,
-		Options:         cfg.Options,
-		TopK:            cfg.TopK,
-		TopKReplayOnly:  qc.TopKReplayOnly,
-		BestFromEngines: qc.BestFromEngines,
-	}
+	tc := defaultTenantConfig(cfg)
 	if qc.Algorithm != "" {
 		alg, err := surge.ParseAlgorithm(qc.Algorithm)
+		if err == nil {
+			_, err = chainFor(alg)
+		}
 		if err != nil {
 			return tenantConfig{}, fmt.Errorf("server: query %q: %w", qc.ID, err)
 		}
@@ -422,13 +416,7 @@ func resolveQuery(cfg Config, qc client.QueryConfig) (tenantConfig, error) {
 
 // defaultTenantConfig is the resolved configuration of the default query.
 func defaultTenantConfig(cfg Config) tenantConfig {
-	return tenantConfig{
-		Algorithm:       cfg.Algorithm,
-		Options:         cfg.Options,
-		TopK:            cfg.TopK,
-		TopKReplayOnly:  cfg.TopKReplayOnly,
-		BestFromEngines: cfg.BestFromEngines,
-	}
+	return tenantConfig{Algorithm: cfg.Algorithm, Options: cfg.Options, TopK: cfg.TopK}
 }
 
 // bootSeeds builds the boot registry from a Config: the default query

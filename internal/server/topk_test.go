@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,10 +39,30 @@ func bitEqualWireTopK(t *testing.T, label string, a, b *client.TopK) {
 	}
 }
 
+// replayTopK is the oracle for the maintained answer: checkpoint the query
+// over HTTP and replay the bytes into a fresh top-k detector.
+func replayTopK(ctx context.Context, t *testing.T, c *client.Client, k int) *client.TopK {
+	t.Helper()
+	data, err := c.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, err := surge.RestoreTopK(surge.CellCSPOT, data, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer td.Close()
+	out := &client.TopK{K: k}
+	for _, r := range td.BestK() {
+		out.Results = append(out.Results, client.FromResult(r))
+	}
+	return out
+}
+
 // TestTopKContinuousMatchesReplay is the serving half of the equivalence
 // guarantee: at every checkpoint of a randomized ingest, the O(1)
-// continuous answer of /v1/topk equals the ?mode=replay escape hatch
-// bitwise — including the k-prefix fast path — on a sharded server.
+// maintained answer of /v1/topk equals a replay of the query's snapshot
+// bitwise — including the k-prefix — on a sharded server.
 func TestTopKContinuousMatchesReplay(t *testing.T) {
 	objs := testObjects(97, 1200, 6)
 	_, _, c := newTestServer(t, Config{
@@ -60,17 +82,10 @@ func TestTopKContinuousMatchesReplay(t *testing.T) {
 		if !cont.Continuous || cont.K != 4 {
 			t.Fatalf("default query not served from the maintained answer: %+v", cont)
 		}
-		replay, err := c.TopKMode(ctx, 4, "replay")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if replay.Continuous {
-			t.Fatal("mode=replay served from the maintained answer")
-		}
-		bitEqualWireTopK(t, "continuous vs replay", cont, replay)
+		bitEqualWireTopK(t, "continuous vs replay", cont, replayTopK(ctx, t, c, 4))
 
-		// Prefix fast path: k=2 is the first two ranks of the maintained 4.
-		pre, err := c.TopKMode(ctx, 2, "continuous")
+		// Prefix: k=2 is the first two ranks of the maintained 4.
+		pre, err := c.TopK(ctx, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,44 +99,11 @@ func TestTopKContinuousMatchesReplay(t *testing.T) {
 		}
 	}
 
-	// k beyond the maintained K falls back to replay transparently...
-	wide, err := c.TopK(ctx, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Continuous || wide.K != 7 {
-		t.Fatalf("k beyond maintained K: %+v", wide)
-	}
-	// ...but an explicit mode=continuous is rejected rather than silently
-	// degraded.
-	if _, err := c.TopKMode(ctx, 7, "continuous"); err == nil {
-		t.Fatal("mode=continuous beyond the maintained k accepted")
-	}
-	if _, err := c.TopKMode(ctx, 3, "bogus"); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-}
-
-// TestTopKReplayOnly pins the escape configuration: with TopKReplayOnly
-// every query replays (the pre-maintenance behaviour) and mode=continuous
-// is rejected.
-func TestTopKReplayOnly(t *testing.T) {
-	objs := testObjects(101, 400, 6)
-	_, _, c := newTestServer(t, Config{
-		Algorithm: surge.CellCSPOT, Options: testOptions(2),
-		TimePolicy: Strict, TopK: 3, TopKReplayOnly: true,
-	})
-	ctx := context.Background()
-	ingestChunks(ctx, t, c, objs, 200)
-	tk, err := c.TopK(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tk.Continuous || tk.K != 3 || !tk.Results[0].Found {
-		t.Fatalf("replay-only topk %+v", tk)
-	}
-	if _, err := c.TopKMode(ctx, 3, "continuous"); err == nil {
-		t.Fatal("mode=continuous accepted in replay-only mode")
+	// k beyond the maintained K is a 400 that names the maintained k.
+	_, err := c.TopK(ctx, 5)
+	var werr *client.Error
+	if !errors.As(err, &werr) || werr.Status != http.StatusBadRequest || !strings.Contains(werr.Err, "maintained k=4") {
+		t.Fatalf("k beyond the maintained K: %v, want a 400 naming the maintained k=4", err)
 	}
 }
 
@@ -385,7 +367,7 @@ func TestTopKFastPathAfterRestore(t *testing.T) {
 		Algorithm: surge.CellCSPOT, Options: testOptions(3), TimePolicy: Strict, TopK: 3,
 		Checkpoint: ckpt,
 	})
-	got, err := c2.TopKMode(ctx, 3, "continuous")
+	got, err := c2.TopK(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,18 +381,15 @@ func TestTopKFastPathAfterRestore(t *testing.T) {
 	if _, err := c3.Restore(ctx, ckpt); err != nil {
 		t.Fatal(err)
 	}
-	got3, err := c3.TopKMode(ctx, 3, "continuous")
+	got3, err := c3.TopK(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bitEqualWireTopK(t, "live restore", want, got3)
 
-	// The fast path must hold bitwise against replay after the restore too.
-	rep, err := c3.TopKMode(ctx, 3, "replay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitEqualWireTopK(t, "restored continuous vs replay", got3, rep)
+	// The maintained answer must hold bitwise against replay after the
+	// restore too.
+	bitEqualWireTopK(t, "restored continuous vs replay", got3, replayTopK(ctx, t, c3, 3))
 }
 
 // TestRestoreTwiceSwapsMaintainedTopK pins the restore lifecycle of the
@@ -461,15 +440,11 @@ func TestRestoreTwiceSwapsMaintainedTopK(t *testing.T) {
 	// push a deterministic tail and compare against replay over the same
 	// state.
 	ingestChunks(ctx, t, c, objs[700:], 50)
-	cont, err := c.TopKMode(ctx, 3, "continuous")
+	cont, err := c.TopK(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.TopKMode(ctx, 3, "replay")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitEqualWireTopK(t, "restore-twice continuous vs replay", cont, rep)
+	bitEqualWireTopK(t, "restore-twice continuous vs replay", cont, replayTopK(ctx, t, c, 3))
 	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)

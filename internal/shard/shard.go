@@ -500,9 +500,6 @@ func (p *Pipeline) enqueue(s int, ev core.Event) {
 // cumulative event count and its channel depth at the moment of the ship.
 // Amortised over whole batches, so the per-event routing cost is untouched.
 func (p *Pipeline) noteShip(s, events int) {
-	if !obs.On() {
-		return
-	}
 	p.mFlush.Record(uint64(events))
 	p.mEvents[s].Add(uint64(events))
 	p.mDepth[s].Set(float64(len(p.workers[s].ch)))
@@ -541,11 +538,7 @@ func (p *Pipeline) Query() (core.Result, core.Stats, error) {
 	if err := p.err(); err != nil {
 		return core.Result{}, core.Stats{}, err
 	}
-	rec := obs.On()
-	var t0 time.Time
-	if rec {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	for i, w := range p.workers {
 		if n := len(p.pending[i]); n > 0 {
 			p.noteShip(i, n)
@@ -564,9 +557,7 @@ func (p *Pipeline) Query() (core.Result, core.Stats, error) {
 	if err := p.err(); err != nil {
 		return core.Result{}, core.Stats{}, err
 	}
-	if rec {
-		p.mBarrier.Observe(time.Since(t0))
-	}
+	p.mBarrier.Observe(time.Since(t0))
 	var best core.Result
 	for _, r := range p.results {
 		if r.Found && (!best.Found || core.CompareTopK(r, best) < 0) {

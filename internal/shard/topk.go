@@ -298,13 +298,9 @@ func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 	if c.valid && c.seenSeq == p.routeSeq {
 		return c.out, c.sum, nil
 	}
-	rec := obs.On()
-	var t0 time.Time
+	t0 := time.Now()
 	var solveWait time.Duration
 	solveOps := 0
-	if rec {
-		t0 = time.Now()
-	}
 	// Re-solve problem 1 only where it can have changed: commits never alter
 	// what problem 1 sees, so a shard's cached problem-1 answer stands until
 	// an event reaches the shard.
@@ -322,15 +318,12 @@ func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 		need++
 	}
 	solveOps += need
-	if rec && need > 0 {
+	if need > 0 {
 		w0 := time.Now()
 		for ; need > 0; need-- {
 			c.recordSolve(<-c.replyc, 1)
 		}
 		solveWait += time.Since(w0)
-	}
-	for ; need > 0; need-- {
-		c.recordSolve(<-c.replyc, 1)
 	}
 	for i := 1; i <= c.k; i++ {
 		var sel core.Result
@@ -353,9 +346,7 @@ func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 		for _, s := range c.aff {
 			if !c.applyIsNoop(s, i, old, sel) {
 				p.workers[s].ch <- batch{op: &tkOp{kind: tkApply, id: c.id, i: i, old: old, sel: sel}}
-				if rec {
-					c.mCommits.Inc()
-				}
+				c.mCommits.Inc()
 				c.stamp++
 				c.rankSel[s][i-1] = sel
 				c.rankOK[s][i-1] = true
@@ -375,16 +366,12 @@ func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 			p.workers[s].ch <- batch{op: &tkOp{kind: tkSolve, id: c.id, i: i + 1, resc: c.replyc}}
 		}
 		solveOps += len(c.solves)
-		if rec && len(c.solves) > 0 {
+		if len(c.solves) > 0 {
 			w0 := time.Now()
 			for range c.solves {
 				c.recordSolve(<-c.replyc, i+1)
 			}
 			solveWait += time.Since(w0)
-		} else {
-			for range c.solves {
-				c.recordSolve(<-c.replyc, i+1)
-			}
 		}
 	}
 	// Solve replies arrive after a panicking worker records its failure, so
@@ -393,11 +380,9 @@ func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 	if err := p.err(); err != nil {
 		return nil, core.Stats{}, err
 	}
-	if rec {
-		c.mResolve.Observe(time.Since(t0))
-		c.mSolveWait.Observe(solveWait)
-		c.mShards.Record(uint64(solveOps))
-	}
+	c.mResolve.Observe(time.Since(t0))
+	c.mSolveWait.Observe(solveWait)
+	c.mShards.Record(uint64(solveOps))
 	c.out = append(c.out[:0], c.top...)
 	var st core.Stats
 	for _, s := range c.stats {

@@ -412,11 +412,7 @@ func (l *Log) openSegment(index uint64) error {
 // Appending past a partial frame would make the next recovery read it as a
 // torn tail and discard everything after it — including acked frames.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	rec := obs.On()
-	var t0 time.Time
-	if rec {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -453,7 +449,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	active.lastLSN = lsn
 	active.size += int64(need)
 	if l.opt.Sync == SyncAlways {
-		if err := l.syncLocked(rec); err != nil {
+		if err := l.syncLocked(); err != nil {
 			// The frame is in the page cache but not durable and will not
 			// be acknowledged: roll back so the LSN is reassigned after
 			// repair and the stray bytes are truncated away.
@@ -473,9 +469,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		}
 	}
 	l.updateGauges()
-	if rec {
-		l.mAppend.Observe(time.Since(t0))
-	}
+	l.mAppend.Observe(time.Since(t0))
 	return lsn, nil
 }
 
@@ -498,14 +492,11 @@ func (l *Log) Poisoned() error {
 // Linux the kernel may mark the dirty pages clean without writing them, so
 // nothing appended since the last successful fsync can be trusted until a
 // fresh checkpoint re-establishes the durable floor. Caller holds l.mu.
-func (l *Log) syncLocked(rec bool) error {
+func (l *Log) syncLocked() error {
 	if !l.dirty {
 		return nil
 	}
-	var t0 time.Time
-	if rec {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if err := l.f.Sync(); err != nil {
 		err = fmt.Errorf("wal: fsync: %w", err)
 		l.poisonLocked(err)
@@ -513,9 +504,7 @@ func (l *Log) syncLocked(rec bool) error {
 	}
 	l.dirty = false
 	l.lastSyncNano.Store(time.Now().UnixNano())
-	if rec {
-		l.mFsync.Observe(time.Since(t0))
-	}
+	l.mFsync.Observe(time.Since(t0))
 	return nil
 }
 
@@ -529,7 +518,7 @@ func (l *Log) Sync() error {
 	if l.poison != nil {
 		return l.poison
 	}
-	return l.syncLocked(obs.On())
+	return l.syncLocked()
 }
 
 // Repair re-establishes an appendable log after a poisoning failure: it
@@ -604,7 +593,7 @@ func (l *Log) syncLoop() {
 // off) and starts the next one. Caller holds l.mu.
 func (l *Log) rotateLocked() error {
 	if l.opt.Sync != SyncOff {
-		if err := l.syncLocked(obs.On()); err != nil {
+		if err := l.syncLocked(); err != nil {
 			return err
 		}
 	} else {

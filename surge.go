@@ -3,6 +3,7 @@ package surge
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"surge/internal/ag2"
 	"surge/internal/cellcspot"
@@ -68,44 +69,23 @@ func (a Algorithm) String() string {
 // surged's -algo flag and the server's query configuration.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch {
-	case equalFold(s, "CCS"):
+	case strings.EqualFold(s, "CCS"):
 		return CellCSPOT, nil
-	case equalFold(s, "B-CCS"), equalFold(s, "BCCS"):
+	case strings.EqualFold(s, "B-CCS"), strings.EqualFold(s, "BCCS"):
 		return StaticBound, nil
-	case equalFold(s, "Base"):
+	case strings.EqualFold(s, "Base"):
 		return Baseline, nil
-	case equalFold(s, "aG2"):
+	case strings.EqualFold(s, "aG2"):
 		return AG2, nil
-	case equalFold(s, "GAPS"):
+	case strings.EqualFold(s, "GAPS"):
 		return GridApprox, nil
-	case equalFold(s, "MGAPS"):
+	case strings.EqualFold(s, "MGAPS"):
 		return MultiGrid, nil
-	case equalFold(s, "Oracle"):
+	case strings.EqualFold(s, "Oracle"):
 		return Oracle, nil
 	default:
 		return 0, fmt.Errorf("surge: unknown algorithm %q (want CCS, B-CCS, Base, aG2, GAPS, MGAPS or Oracle)", s)
 	}
-}
-
-// equalFold is strings.EqualFold for the ASCII names above, kept local so
-// the package's import set stays unchanged.
-func equalFold(s, t string) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		a, b := s[i], t[i]
-		if 'A' <= a && a <= 'Z' {
-			a += 'a' - 'A'
-		}
-		if 'A' <= b && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // Point is a location in the plane.
@@ -330,12 +310,17 @@ func newSource(opt Options, cfg core.Config) (window.Source, error) {
 	return window.NewCount(nc, np)
 }
 
-func newEngine(alg Algorithm, cfg core.Config, opt Options) (core.Engine, error) {
-	eng, err := newEngineRaw(alg, cfg, opt)
+// testWrap passes a freshly built engine through the core.TestEngineWrap
+// fault-injection seam; a nil check in production.
+func testWrap[E any](eng E, err error) (E, error) {
 	if err == nil && core.TestEngineWrap != nil {
-		eng = core.TestEngineWrap(eng)
+		eng = core.TestEngineWrap(eng).(E)
 	}
 	return eng, err
+}
+
+func newEngine(alg Algorithm, cfg core.Config, opt Options) (core.Engine, error) {
+	return testWrap(newEngineRaw(alg, cfg, opt))
 }
 
 func newEngineRaw(alg Algorithm, cfg core.Config, opt Options) (core.Engine, error) {

@@ -67,6 +67,10 @@ type TopKDetector struct {
 // CellCSPOT (the paper's kCCS), GridApprox (kGAPS), MultiGrid (kMGAPS) and
 // Oracle (the naive greedy baseline of Section VII-F).
 func newTopKEngine(alg Algorithm, cfg core.Config, k int) (core.TopKEngine, error) {
+	return testWrap(newTopKEngineRaw(alg, cfg, k))
+}
+
+func newTopKEngineRaw(alg Algorithm, cfg core.Config, k int) (core.TopKEngine, error) {
 	switch alg {
 	case CellCSPOT:
 		return topk.NewKCCS(cfg, k)
