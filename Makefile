@@ -1,12 +1,13 @@
 # Development targets; `make check` is the tier-1 gate (format, vet, build,
-# test). `make race` additionally runs the suite under the race detector,
+# test, and one iteration of every engine micro-benchmark so they cannot
+# rot). `make race` additionally runs the suite under the race detector,
 # which exercises the sharded pipeline's fan-out and barrier.
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke
+.PHONY: check fmt vet build test bench-compile race bench bench-smoke
 
-check: fmt vet build test
+check: fmt vet build test bench-compile
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -21,6 +22,9 @@ build:
 
 test:
 	$(GO) test ./...
+
+bench-compile:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/gapsurge ./internal/window ./internal/cellcspot ./internal/topk
 
 race:
 	$(GO) test -race ./...

@@ -86,3 +86,37 @@ func TestTopKPushZeroAllocKCCS(t *testing.T) {
 		t.Fatalf("kCCS top-k Push allocates %v allocs/op in steady state, want 0", a)
 	}
 }
+
+// TestAppendCheckpointAllocsDoNotScale guards the checkpoint writer: walking
+// the window queues into the detector's reused scratch and encoding into a
+// recycled buffer costs the encoder's fixed set-up (a few dozen allocations,
+// growing with the logarithm of the output as its staging buffer doubles),
+// never an allocation per live object.
+func TestAppendCheckpointAllocsDoNotScale(t *testing.T) {
+	const live = 8000
+	det, err := surge.New(surge.GridApprox, surge.Options{Width: 1, Height: 1, Window: live, Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer det.Close()
+	for i := 0; i < live; i++ {
+		if _, err := det.Push(surge.Object{X: float64(i % 13), Y: float64(i % 7), Weight: 1, Time: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, err := det.AppendCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if det.Live() != live {
+		t.Fatalf("live = %d, want %d", det.Live(), live)
+	}
+	a := testing.AllocsPerRun(10, func() {
+		if buf, err = det.AppendCheckpoint(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if a > 64 {
+		t.Fatalf("AppendCheckpoint allocates %v times for %d live objects, want a fixed few dozen", a, live)
+	}
+}

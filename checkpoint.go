@@ -2,12 +2,11 @@ package surge
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/gob"
 	"fmt"
-	"slices"
 
 	"surge/internal/core"
+	"surge/internal/window"
 )
 
 // Checkpointing: a Detector's logical state is fully determined by the
@@ -15,7 +14,9 @@ import (
 // original creation times. A checkpoint therefore serialises exactly that,
 // and restore rebuilds the engine by replaying the live objects through a
 // fresh detector — every engine reaches the identical logical state
-// (identical scores; internal caches rebuild lazily).
+// (identical scores; internal caches rebuild lazily). The live set is read
+// off the window engine, whose queues hold it in arrival order; the
+// detectors track nothing beside it.
 //
 // This keeps the format engine-independent: a checkpoint written by a
 // CellCSPOT detector can be restored into a GridApprox detector, and it
@@ -51,67 +52,24 @@ type checkpointOptions struct {
 type checkpointObject struct {
 	X, Y, Weight, Time float64
 	// Seq is the object's arrival rank (the window engine's monotone ID).
-	// Replay sorts same-time objects by Seq, so within-tie arrival order —
-	// and with it the last-bit rounding of the engines' score folds —
-	// survives a restore. Timestamp ties are routine under the serving
-	// layer's Clamp policy, which rewrites every late arrival to the
-	// current stream time. Checkpoints written before this field existed
-	// decode with Seq zero (gob matches by name) and fall back to the old
-	// (x, y) tie order.
+	// Objects are written in Seq order and replayed as written, so
+	// within-tie arrival order — and with it the last-bit rounding of the
+	// engines' score folds — survives a restore. Timestamp ties are routine
+	// under the serving layer's Clamp policy, which rewrites every late
+	// arrival to the current stream time. Checkpoints written before this
+	// field existed decode with Seq zero (gob matches by name) and carry
+	// their ties in the old (x, y) order.
 	Seq uint64
 }
 
-// liveObj is one live-window object tracked for checkpointing and for
-// seeding attached top-k detectors: the original object plus whether it has
-// crossed from Wc into Wp.
-type liveObj struct {
-	obj  core.Object
-	past bool
-}
-
-// trackLiveObj maintains the live-object bookkeeping needed to checkpoint
-// (and to replay the windows into an attached top-k engine). Tracking is
-// always on: the overhead is one map entry per live object.
-//
-// (The bookkeeping lives here rather than in the window engine so the
-// engine stays a pure event generator.)
-func trackLiveObj(live map[uint64]liveObj, ev core.Event) {
-	switch ev.Kind {
-	case core.New:
-		live[ev.Obj.ID] = liveObj{obj: ev.Obj}
-	case core.Grown:
-		if lo, ok := live[ev.Obj.ID]; ok && !lo.past {
-			lo.past = true
-			live[ev.Obj.ID] = lo
-		}
-	case core.Expired:
-		delete(live, ev.Obj.ID)
-	}
-}
-
-func (d *Detector) trackLive(ev core.Event) { trackLiveObj(d.liveObjs, ev) }
-
-// buildCheckpointObjects collects the live objects into scratch and sorts
-// them into the canonical (time, arrival) replay order. The scratch is reused
-// across calls so periodic checkpointing does not reallocate the object
-// list.
-func buildCheckpointObjects(scratch []checkpointObject, live map[uint64]liveObj) []checkpointObject {
+// buildCheckpointObjects collects the live objects into scratch in the
+// canonical (time, arrival) replay order, which is the order the window
+// queues hold them in. The scratch is reused across calls so periodic
+// checkpointing does not reallocate the object list.
+func buildCheckpointObjects(scratch []checkpointObject, win window.Source) []checkpointObject {
 	scratch = scratch[:0]
-	for _, lo := range live {
-		o := lo.obj
+	win.Each(func(o core.Object, _ bool) {
 		scratch = append(scratch, checkpointObject{X: o.X, Y: o.Y, Weight: o.Weight, Time: o.T, Seq: o.ID})
-	}
-	slices.SortFunc(scratch, func(a, b checkpointObject) int {
-		switch {
-		case a.Time != b.Time:
-			return cmp.Compare(a.Time, b.Time)
-		case a.Seq != b.Seq:
-			return cmp.Compare(a.Seq, b.Seq)
-		case a.X != b.X:
-			return cmp.Compare(a.X, b.X)
-		default:
-			return cmp.Compare(a.Y, b.Y)
-		}
 	})
 	return scratch
 }
@@ -136,7 +94,7 @@ func encodeCheckpoint(dst []byte, env *checkpointEnvelope) ([]byte, error) {
 
 // appendEnvelope assembles and encodes the one checkpoint envelope shape
 // both detector kinds write: the caller supplies the options (already
-// carrying any pipeline-shape fields) and the sorted object list, and the
+// carrying any pipeline-shape fields) and the ordered object list, and the
 // geometry common to every detector is filled in from cfg here so the two
 // writers cannot drift apart.
 func appendEnvelope(dst []byte, alg Algorithm, clock float64, cfg core.Config, counted bool, opt checkpointOptions, objs []checkpointObject) ([]byte, error) {
@@ -174,7 +132,7 @@ func (d *Detector) Checkpoint() ([]byte, error) { return d.AppendCheckpoint(nil)
 // allocating a fresh snapshot every time; the detector's internal object
 // scratch is reused across calls too.
 func (d *Detector) AppendCheckpoint(dst []byte) ([]byte, error) {
-	d.ckptObjs = buildCheckpointObjects(d.ckptObjs, d.liveObjs)
+	d.ckptObjs = buildCheckpointObjects(d.ckptObjs, d.win)
 	return appendEnvelope(dst, d.alg, d.win.Now(), d.cfg, d.counted, checkpointOptions{
 		AG2Gamma:       d.ag2Gamma,
 		Shards:         d.shards,
@@ -194,7 +152,7 @@ func (d *TopKDetector) AppendCheckpoint(dst []byte) ([]byte, error) {
 	if d.parent != nil {
 		return d.parent.AppendCheckpoint(dst)
 	}
-	d.ckptObjs = buildCheckpointObjects(d.ckptObjs, d.liveObjs)
+	d.ckptObjs = buildCheckpointObjects(d.ckptObjs, d.win)
 	// Top-k detection has no aG2 variant, so AG2Gamma stays zero.
 	return appendEnvelope(dst, d.alg, d.win.Now(), d.cfg, d.counted, checkpointOptions{
 		Shards:         d.shards,

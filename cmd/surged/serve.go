@@ -65,7 +65,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("surged serve", flag.ExitOnError)
 	var (
 		addr    = fs.String("addr", ":7077", "listen address")
-		algo    = fs.String("algo", "CCS", "algorithm: CCS, B-CCS, Base, GAPS, MGAPS")
+		algo    = fs.String("algo", "CCS", "algorithm: CCS, GAPS or MGAPS (B-CCS and Base are accepted and serve the same maintained kCCS chain as CCS)")
 		width   = fs.Float64("width", 0.01, "query rectangle width")
 		height  = fs.Float64("height", 0.01, "query rectangle height")
 		win     = fs.Float64("window", 3600, "window length |Wc| (= |Wp| unless -past-window)")

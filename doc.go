@@ -138,12 +138,18 @@
 //     current top-k regions); heap positions are stored in the cells
 //     instead of hash maps; and heap-key refreshes are deferred to a dirty
 //     queue flushed once per query instead of per visibility operation.
-//   - The CCS engine and the top-k engines share one packed cell layout:
-//     cells are addressed by a single uint64 key (grid.Cell.Pack, two
-//     sign-extended int32 coordinates) instead of a two-field struct key,
-//     and each cell records its own heap position, so the hot per-event
-//     sequence — map lookup, bound update, heap sift — runs on machine
-//     words with no composite-key hashing and no position map.
+//   - The CCS engine, the grid approximations and the top-k engines share
+//     one packed cell layout: cells are addressed by a single uint64 key
+//     (grid.Cell.Pack, two sign-extended int32 coordinates) instead of a
+//     two-field struct key, and each cell records its own heap position, so
+//     the hot per-event sequence — map lookup, bound update, heap sift —
+//     runs on machine words with no composite-key hashing and no position
+//     map. The cell index is the only hash map an event touches.
+//   - The window engine's two FIFO queues are the live set: every live
+//     object sits in exactly one of them (still in Wc, or already in Wp), in
+//     arrival order. Checkpoint and AttachTopK walk the queues
+//     (window.Source.Each), so the detectors keep no index of their own
+//     beside the windows and a checkpoint needs no sort.
 //   - The shard router recycles its event batches through a sync.Pool —
 //     shard workers hand slices back after applying them — and sizes each
 //     flush by the receiving shard's backlog: Options.ShardFlushEvents = 0

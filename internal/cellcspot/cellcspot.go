@@ -24,8 +24,8 @@
 // The storage layout matches the packed representation of the top-k engine
 // (internal/topk): the cell map is keyed by grid.Cell.Pack (uint64 keys hit
 // the runtime's specialized map fast paths) and the heap stores its position
-// index inside the cells (cheap), so the per-event hot path hashes one word
-// and never probes a map for heap maintenance. Exact-score ties at the top
+// index inside the cells (cellheap.Heap), so the per-event hot path hashes one
+// word and never probes a map for heap maintenance. Exact-score ties at the top
 // are resolved by core.CompareTopK — the one canonical selection order shared
 // with the sharded barrier merge and the top-k chain — so the reported region
 // is independent of heap order and shard partitioning.
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 
+	"surge/internal/cellheap"
 	"surge/internal/core"
 	"surge/internal/geom"
 	"surge/internal/grid"
@@ -108,6 +109,9 @@ type cell struct {
 	cand     candidate
 }
 
+// HeapPos implements cellheap.Positioned.
+func (c *cell) HeapPos() *int { return &c.pos }
+
 // live returns the number of live objects in the cell.
 func (c *cell) live() int { return len(c.objs) - c.dead }
 
@@ -156,7 +160,7 @@ type Engine struct {
 	mode  Mode
 	grid  grid.Grid
 	cells map[uint64]*cell // keyed by grid.Cell.Pack (see the package comment)
-	heap  cheap
+	heap  cellheap.Heap[*cell]
 	sr    sweep.Searcher
 	stats core.Stats
 

@@ -3,8 +3,10 @@
 //   - GAP-SURGE (Algorithm 3): a grid of query-sized cells; every cell is a
 //     candidate region whose burst score is maintained incrementally under
 //     window-transition events, with the cells kept in an indexed max-heap.
-//     Processing an event costs O(log n); the returned region's burst score
-//     is at least (1-alpha)/4 of the optimum (Theorem 3).
+//     Processing an event costs O(log n) — one packed-key (grid.Cell.Pack)
+//     map probe and one sift of a heap whose positions live in the cells —
+//     and the returned region's burst score is at least (1-alpha)/4 of the
+//     optimum (Theorem 3).
 //   - MGAP-SURGE (Algorithm 5): runs GAP-SURGE on the four half-cell-shifted
 //     grids of Section V-B and reports the best of the four candidates. The
 //     worst-case ratio is unchanged (Theorem 4) but the practical quality is
@@ -17,10 +19,10 @@ package gapsurge
 import (
 	"slices"
 
+	"surge/internal/cellheap"
 	"surge/internal/core"
 	"surge/internal/geom"
 	"surge/internal/grid"
-	"surge/internal/iheap"
 )
 
 // gobj is one live object of a cell, stored in arrival order (IDs are
@@ -37,11 +39,16 @@ type gobj struct {
 }
 
 type gcell struct {
+	key    grid.Cell
+	pos    int     // position in the layer heap; -1 when absent
 	fc, fp float64 // incremental accumulators: heap keys, not reported values
 	nc, np int
 	objs   []gobj // arrival-ordered; expired entries are tombstoned
 	dead   int    // tombstones in objs
 }
+
+// HeapPos implements cellheap.Positioned.
+func (c *gcell) HeapPos() *int { return &c.pos }
 
 // lookup returns the position of the live object with the given ID (objs is
 // sorted by ID; see gobj).
@@ -96,8 +103,8 @@ func (c *gcell) fold(cfg core.Config) (fc, fp float64) {
 
 type layer struct {
 	g     grid.Grid
-	cells map[grid.Cell]*gcell
-	heap  *iheap.Heap[grid.Cell]
+	cells map[uint64]*gcell // keyed by grid.Cell.Pack
+	heap  cellheap.Heap[*gcell]
 }
 
 // Engine is a grid-based approximate SURGE detector. It is not safe for
@@ -108,9 +115,11 @@ type Engine struct {
 	k      int // number of regions reported by BestK
 	stats  core.Stats
 
-	popKeys   []grid.Cell
+	popCells  []*gcell
 	popScores []float64
 	merged    []core.Result
+	out       []core.Result // BestK's answer, recomputed only when dirty
+	dirty     bool
 	free      []*gcell // emptied cells kept for reuse, shared across layers
 
 	// Mask state of the cross-shard greedy chain (core.TopKShard):
@@ -146,13 +155,9 @@ func NewTopK(cfg core.Config, multi bool, k int) (*Engine, error) {
 	} else {
 		grids = []grid.Grid{grid.Aligned(cfg.Width, cfg.Height)}
 	}
-	e := &Engine{cfg: cfg, k: k}
+	e := &Engine{cfg: cfg, k: k, out: make([]core.Result, k)}
 	for _, g := range grids {
-		e.layers = append(e.layers, layer{
-			g:     g,
-			cells: make(map[grid.Cell]*gcell),
-			heap:  iheap.New[grid.Cell](),
-		})
+		e.layers = append(e.layers, layer{g: g, cells: make(map[uint64]*gcell)})
 	}
 	return e, nil
 }
@@ -185,21 +190,24 @@ func (e *Engine) Process(ev core.Event) {
 		if !counted {
 			counted = true
 			e.stats.Events++
+			e.dirty = true
 		}
-		c := l.cells[ck]
+		pk := ck.Pack()
+		c := l.cells[pk]
 		if c == nil {
 			if ev.Kind != core.New {
 				continue
 			}
 			// Reuse an emptied cell so churn under a moving stream does not
-			// allocate; a recycled cell is zeroed, exactly a fresh one.
+			// allocate; a recycled cell is reset, exactly a fresh one.
 			if n := len(e.free); n > 0 {
 				c = e.free[n-1]
 				e.free = e.free[:n-1]
 			} else {
-				c = &gcell{}
+				c = &gcell{pos: -1}
 			}
-			l.cells[ck] = c
+			c.key = ck
+			l.cells[pk] = c
 		}
 		e.stats.CellsTouched++
 		switch ev.Kind {
@@ -240,15 +248,15 @@ func (e *Engine) Process(ev core.Event) {
 			c.fp = 0
 		}
 		if c.nc == 0 && c.np == 0 {
-			delete(l.cells, ck)
-			l.heap.Remove(ck)
+			delete(l.cells, pk)
+			l.heap.Remove(c)
 			c.objs = c.objs[:0] // keep the backing array for reuse
 			c.dead = 0
 			c.fc, c.fp = 0, 0
 			e.free = append(e.free, c)
 			continue
 		}
-		l.heap.Set(ck, e.cfg.Score(c.fc, c.fp))
+		l.heap.Set(c, e.cfg.Score(c.fc, c.fp))
 	}
 }
 
@@ -258,25 +266,31 @@ func (e *Engine) Best() core.Result {
 	bestKey := 0.0
 	for li := range e.layers {
 		l := &e.layers[li]
-		ck, sc, ok := l.heap.Max()
+		c, sc, ok := l.heap.Max()
 		if !ok || sc <= 0 || (best.Found && sc <= bestKey) {
 			continue
 		}
-		best = e.resultOf(l, ck)
+		best = e.resultOf(l, c)
 		bestKey = sc
 	}
 	return best
 }
 
 // BestK reports the current top-k regions (Algorithm 6 for the single grid,
-// Algorithm 7 for the multi-grid variant).
+// Algorithm 7 for the multi-grid variant). The answer is recomputed only
+// when an event arrived since the last call (the committed masks of
+// ApplyRank do not enter it). The returned slice is reused by subsequent
+// calls; callers that retain it must copy.
 func (e *Engine) BestK() []core.Result {
-	out := make([]core.Result, e.k)
+	if !e.dirty {
+		return e.out
+	}
+	e.dirty = false
+	out := e.out
+	clear(out)
 	if !e.MultiGrid() {
-		l := &e.layers[0]
-		top := e.popTop(l, e.k, e.merged[:0])
-		e.merged = top[:0]
-		copy(out, top)
+		e.merged = e.popTop(&e.layers[0], e.k, e.merged[:0])
+		copy(out, e.merged)
 		return out
 	}
 	// Multi-grid: take the top-4k cells of each grid, merge, and greedily
@@ -365,29 +379,29 @@ func (e *Engine) ApplyRank(i int, _, sel core.Result) {
 // until one with a positive score does not overlap the first nmask committed
 // regions, restores the heap, and reports that cell canonically.
 func (e *Engine) popBestUnmasked(l *layer, nmask int) (core.Result, bool) {
-	e.popKeys = e.popKeys[:0]
+	e.popCells = e.popCells[:0]
 	e.popScores = e.popScores[:0]
 	var res core.Result
 	found := false
 	for {
-		ck, sc, ok := l.heap.PopMax()
+		c, sc, ok := l.heap.PopMax()
 		if !ok {
 			break
 		}
-		e.popKeys = append(e.popKeys, ck)
+		e.popCells = append(e.popCells, c)
 		e.popScores = append(e.popScores, sc)
 		if sc <= 0 {
 			break
 		}
-		if e.maskedRegion(l.g.CellRect(ck), nmask) {
+		if e.maskedRegion(l.g.CellRect(c.key), nmask) {
 			continue
 		}
-		res = e.resultOf(l, ck)
+		res = e.resultOf(l, c)
 		found = true
 		break
 	}
-	for i, ck := range e.popKeys {
-		l.heap.Set(ck, e.popScores[i])
+	for i, c := range e.popCells {
+		l.heap.Set(c, e.popScores[i])
 	}
 	return res, found
 }
@@ -395,24 +409,24 @@ func (e *Engine) popBestUnmasked(l *layer, nmask int) (core.Result, bool) {
 // popTop removes up to k positive-score cells from the layer's heap in
 // descending order, restores them, and appends their results to dst.
 func (e *Engine) popTop(l *layer, k int, dst []core.Result) []core.Result {
-	e.popKeys = e.popKeys[:0]
+	e.popCells = e.popCells[:0]
 	e.popScores = e.popScores[:0]
 	taken := 0
 	for taken < k {
-		ck, sc, ok := l.heap.PopMax()
+		c, sc, ok := l.heap.PopMax()
 		if !ok {
 			break
 		}
-		e.popKeys = append(e.popKeys, ck)
+		e.popCells = append(e.popCells, c)
 		e.popScores = append(e.popScores, sc)
 		if sc <= 0 {
 			break
 		}
-		dst = append(dst, e.resultOf(l, ck))
+		dst = append(dst, e.resultOf(l, c))
 		taken++
 	}
-	for i, ck := range e.popKeys {
-		l.heap.Set(ck, e.popScores[i])
+	for i, c := range e.popCells {
+		l.heap.Set(c, e.popScores[i])
 	}
 	return dst
 }
@@ -423,9 +437,8 @@ func (e *Engine) popTop(l *layer, k int, dst []core.Result) []core.Result {
 // the same values as one rebuilt from a checkpoint of the same content.
 // (The heap keys remain the incremental accumulators; they only order the
 // candidate selection, where equal content differs by at most rounding.)
-func (e *Engine) resultOf(l *layer, ck grid.Cell) core.Result {
-	c := l.cells[ck]
-	r := l.g.CellRect(ck)
+func (e *Engine) resultOf(l *layer, c *gcell) core.Result {
+	r := l.g.CellRect(c.key)
 	fc, fp := c.fold(e.cfg)
 	return core.Result{
 		Point:  geom.Point{X: r.MaxX, Y: r.MaxY},

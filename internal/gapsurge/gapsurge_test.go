@@ -3,6 +3,7 @@ package gapsurge_test
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"surge/internal/core"
@@ -350,5 +351,42 @@ func TestStatsCount(t *testing.T) {
 	drive(t, cfg.WC, cfg.WP, objs, func(ev core.Event) { e.Process(ev); n++ })
 	if got := e.Stats().Events; got != uint64(n) {
 		t.Fatalf("events = %d, want %d", got, n)
+	}
+}
+
+// TestBestKCachesAndReusesItsAnswer pins BestK's contract: without an event
+// since the last call it returns the cached answer without recomputing (no
+// heap pops, no allocation); after one it recomputes into the same buffer,
+// so a caller that retains the slice must have copied it.
+func TestBestKCachesAndReusesItsAnswer(t *testing.T) {
+	for _, multi := range []bool{false, true} {
+		cfg := core.Config{Width: 1, Height: 1, WC: 10, WP: 10, Alpha: 0.5}
+		e, _ := gapsurge.NewTopK(cfg, multi, 3)
+		var id uint64
+		add := func(x, y, w float64) {
+			id++
+			e.Process(core.Event{Kind: core.New, Obj: core.Object{ID: id, X: x, Y: y, Weight: w}})
+		}
+		add(0.5, 0.5, 2)
+		add(3.5, 3.5, 1)
+		held := e.BestK()
+		before := slices.Clone(held)
+		if !before[0].Found || !before[1].Found || before[2].Found {
+			t.Fatalf("multi=%v: want two regions, got %+v", multi, before)
+		}
+		if n := testing.AllocsPerRun(20, func() { e.BestK() }); n != 0 {
+			t.Fatalf("multi=%v: clean BestK allocates %v times per call", multi, n)
+		}
+		if !slices.Equal(e.BestK(), before) {
+			t.Fatalf("multi=%v: answer changed without an event", multi)
+		}
+		add(3.5, 3.5, 5) // the second region overtakes the first
+		after := e.BestK()
+		if after[0].Region != before[1].Region || after[0].Score <= before[0].Score {
+			t.Fatalf("multi=%v: answer not refreshed after an event: %+v", multi, after)
+		}
+		if &held[0] != &after[0] {
+			t.Fatalf("multi=%v: BestK moved to a new buffer", multi)
+		}
 	}
 }

@@ -973,11 +973,14 @@ func (s *Server) restoreTenant(t *tenant, data []byte) error {
 	var durLSN, durGen uint64
 	var durErr error
 	var closeOld *engineSlot
+	var now float64 // the restored state, read before ingest can move it
+	var live int
 	derr := s.do(func() {
 		if t.dead {
 			err = errUnknownQuery
 			return
 		}
+		now, live = sl.clock, sl.det.Live()
 		old := t.slot.Load()
 		sl.worker = old.worker
 		t.slot.Store(sl)
@@ -1037,7 +1040,7 @@ func (s *Server) restoreTenant(t *tenant, data []byte) error {
 		}
 	}
 	s.log.Info("restored from checkpoint", "query", t.id, "bytes", len(data),
-		"shards", sl.det.Shards(), "now", sl.clock, "live", sl.det.Live())
+		"shards", sl.det.Shards(), "now", now, "live", live)
 	return nil
 }
 

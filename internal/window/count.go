@@ -37,6 +37,12 @@ func (e *CountEngine) Now() float64 { return e.now }
 // Live returns the number of objects currently inside either window.
 func (e *CountEngine) Live() int { return e.cur.len() + e.past.len() }
 
+// Each implements Source: the past window holds the older objects.
+func (e *CountEngine) Each(fn func(o core.Object, past bool)) {
+	e.past.each(fn, true)
+	e.cur.each(fn, false)
+}
+
 // Push feeds one object: it enters the current window (New); if the current
 // window overflows, its oldest object moves to the past window (Grown); if
 // the past window overflows, its oldest object leaves (Expired). Expired

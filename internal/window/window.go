@@ -36,6 +36,10 @@ type Source interface {
 	Now() float64
 	// Live returns the number of objects inside the windows.
 	Live() int
+	// Each calls fn for every live object in arrival (= ID) order; past
+	// reports whether the object has already moved from Wc into Wp. The
+	// queues are the live set: checkpoints and top-k seeding walk them.
+	Each(fn func(o core.Object, past bool))
 }
 
 // Engine generates window-transition events from a time-ordered object
@@ -65,6 +69,13 @@ func (e *Engine) Now() float64 { return e.now }
 
 // Live returns the number of objects currently inside either window.
 func (e *Engine) Live() int { return e.count }
+
+// Each implements Source: every object of expired (in Wp) arrived before
+// every object of grown (still in Wc), and each queue is in arrival order.
+func (e *Engine) Each(fn func(o core.Object, past bool)) {
+	e.expired.each(fn, true)
+	e.grown.each(fn, false)
+}
 
 // Push advances the clock to o.T and feeds the object into the stream. All
 // Grown/Expired events due at or before o.T are emitted first, then the New
@@ -182,3 +193,9 @@ func (q *queue) pop() (core.Object, bool) {
 }
 
 func (q *queue) len() int { return len(q.items) - q.head }
+
+func (q *queue) each(fn func(o core.Object, past bool), past bool) {
+	for _, o := range q.items[q.head:] {
+		fn(o, past)
+	}
+}

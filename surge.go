@@ -228,7 +228,6 @@ type Detector struct {
 	pipe     *shard.Pipeline // sharded pipeline; nil when single-engine
 	cur      core.Result
 	err      error              // first pipeline failure, surfaced by Err
-	liveObjs map[uint64]liveObj // live set for Checkpoint and AttachTopK
 	ckptObjs []checkpointObject // checkpoint scratch, reused across calls
 	taps     []*TopKDetector    // attached top-k detectors fed every event
 	ctaps    []*TopKDetector    // attached top-k detectors riding the shard workers
@@ -272,7 +271,6 @@ func New(alg Algorithm, opt Options) (*Detector, error) {
 	}
 	d := &Detector{
 		alg: alg, cfg: cfg, win: win,
-		liveObjs: make(map[uint64]liveObj),
 		ag2Gamma: gamma,
 		counted:  opt.CountWindows,
 		shards:   opt.Shards,
@@ -281,7 +279,6 @@ func New(alg Algorithm, opt Options) (*Detector, error) {
 	}
 	d.stepFn = d.step
 	d.stepQuietFn = d.stepQuiet
-	d.routeStepFn = d.routeStep
 	if opt.Shards >= 2 && alg != AG2 {
 		d.pipe, err = shard.NewWithParams(cfg, opt.Shards, opt.ShardBlockCols,
 			shard.Params{FlushEvents: opt.ShardFlushEvents},
@@ -289,6 +286,9 @@ func New(alg Algorithm, opt Options) (*Detector, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Top-k detectors attached to a sharded parent ride the shard
+		// workers (ctaps), so there are no caller-side taps on this path.
+		d.routeStepFn = d.pipe.Route
 		return d, nil
 	}
 	d.eng, err = newEngine(alg, cfg, opt)
@@ -502,7 +502,6 @@ func (d *Detector) AdvanceTo(t float64) (Result, error) {
 // With the engines retired (AttachTopKBest) the taps already maintained the
 // serving chain; Push/AdvanceTo refresh the answer from it once at the end.
 func (d *Detector) step(ev core.Event) {
-	d.trackLive(ev)
 	if len(d.taps) != 0 {
 		d.tap(ev)
 	}
@@ -516,7 +515,6 @@ func (d *Detector) step(ev core.Event) {
 // stepQuiet processes one window event without refreshing the answer
 // (PushBatch refreshes once per batch).
 func (d *Detector) stepQuiet(ev core.Event) {
-	d.trackLive(ev)
 	if len(d.taps) != 0 {
 		d.tap(ev)
 	}
@@ -524,14 +522,6 @@ func (d *Detector) stepQuiet(ev core.Event) {
 		return
 	}
 	d.eng.Process(ev)
-}
-
-// routeStep hands one window event to the sharded pipeline. Top-k
-// detectors attached to a sharded parent ride the shard workers (ctaps),
-// so there are no caller-side taps on this path.
-func (d *Detector) routeStep(ev core.Event) {
-	d.trackLive(ev)
-	d.pipe.Route(ev)
 }
 
 // tap feeds one window event to the top-k detectors attached to a

@@ -3,7 +3,6 @@ package surge
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"surge/internal/core"
 	"surge/internal/gapsurge"
@@ -49,7 +48,6 @@ type TopKDetector struct {
 	shards  int  // requested Options.Shards (recorded in checkpoints)
 	blkCols int  // requested Options.ShardBlockCols
 
-	liveObjs map[uint64]liveObj // standalone: live set for Checkpoint
 	ckptObjs []checkpointObject // checkpoint scratch, reused across calls
 
 	res []Result // result buffer reused by the query methods
@@ -124,13 +122,11 @@ func NewTopK(alg Algorithm, opt Options, k int) (*TopKDetector, error) {
 	}
 	d := &TopKDetector{
 		alg: alg, k: k, cfg: cfg, win: win,
-		counted:  opt.CountWindows,
-		liveObjs: make(map[uint64]liveObj),
-		shards:   opt.Shards,
-		blkCols:  opt.ShardBlockCols,
+		counted: opt.CountWindows,
+		shards:  opt.Shards,
+		blkCols: opt.ShardBlockCols,
 	}
 	d.stepFn = d.step
-	d.routeFn = d.routeStep
 	if opt.Shards >= 2 {
 		d.pipe, d.chain, err = shard.NewTopK(cfg, opt.Shards, opt.ShardBlockCols,
 			shard.Params{FlushEvents: opt.ShardFlushEvents}, k,
@@ -138,13 +134,14 @@ func NewTopK(alg Algorithm, opt Options, k int) (*TopKDetector, error) {
 		if err != nil {
 			return nil, err
 		}
+		d.routeFn = d.pipe.Route
 		return d, nil
 	}
 	d.eng, err = newTopKEngine(alg, cfg, k)
 	if err != nil {
 		return nil, err
 	}
-	d.processFn = d.process
+	d.processFn = d.eng.Process
 	return d, nil
 }
 
@@ -277,20 +274,15 @@ func (td *TopKDetector) rank1() (core.Result, error) {
 // transitions the windows have already performed — the order the engines'
 // cell storage is defined over.
 func (d *Detector) seedEvents() []core.Event {
-	ids := make([]uint64, 0, len(d.liveObjs))
-	for id := range d.liveObjs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	evs := make([]core.Event, 0, 2*len(ids))
-	for _, id := range ids {
-		evs = append(evs, core.Event{Kind: core.New, Obj: d.liveObjs[id].obj})
-	}
-	for _, id := range ids {
-		if lo := d.liveObjs[id]; lo.past {
-			evs = append(evs, core.Event{Kind: core.Grown, Obj: lo.obj})
+	evs := make([]core.Event, 0, 2*d.win.Live())
+	d.win.Each(func(o core.Object, _ bool) {
+		evs = append(evs, core.Event{Kind: core.New, Obj: o})
+	})
+	d.win.Each(func(o core.Object, past bool) {
+		if past {
+			evs = append(evs, core.Event{Kind: core.Grown, Obj: o})
 		}
-	}
+	})
 	return evs
 }
 
@@ -443,12 +435,6 @@ func (d *TopKDetector) refreshFromChain() error {
 	return nil
 }
 
-// routeStep hands one window event to the sharded pipeline.
-func (d *TopKDetector) routeStep(ev core.Event) {
-	d.trackLive(ev)
-	d.pipe.Route(ev)
-}
-
 // PushBatch feeds a time-ordered batch of objects and returns the top-k
 // regions after the whole batch, querying the engine once at the end rather
 // than after every window transition. The final answer is equivalent to
@@ -509,17 +495,9 @@ func (d *TopKDetector) pushable() error {
 }
 
 func (d *TopKDetector) step(ev core.Event) {
-	d.trackLive(ev)
 	d.eng.Process(ev)
 	d.cur = d.eng.BestK()
 }
-
-func (d *TopKDetector) process(ev core.Event) {
-	d.trackLive(ev)
-	d.eng.Process(ev)
-}
-
-func (d *TopKDetector) trackLive(ev core.Event) { trackLiveObj(d.liveObjs, ev) }
 
 // BestK returns the current top-k regions. On a chain-backed detector
 // (standalone sharded, or attached to a sharded parent) this runs the
