@@ -1,7 +1,7 @@
 // Benchmarks mirroring the paper's evaluation (Section VII): one testing.B
 // target per table/figure. These run fixed small workloads so `go test
-// -bench=.` finishes quickly; cmd/surgebench produces the full sweeps and
-// paper-style tables (see EXPERIMENTS.md for recorded results).
+// -bench=.` finishes quickly; `go run ./cmd/surgebench` produces the full
+// sweeps and paper-style tables.
 package surge_test
 
 import (

@@ -33,7 +33,7 @@
 //
 // The approximate detectors process an object in O(log n) and guarantee a
 // burst score of at least (1-alpha)/4 of the optimum; in practice they reach
-// 73-94% (paper Tables III-IV, reproduced in EXPERIMENTS.md).
+// 73-94% (paper Tables III-IV; `go run ./cmd/surgebench` regenerates them).
 //
 // # Usage
 //
@@ -138,6 +138,14 @@
 //     current top-k regions); heap positions are stored in the cells
 //     instead of hash maps; and heap-key refreshes are deferred to a dirty
 //     queue flushed once per query instead of per visibility operation.
+//   - The exact top-k engine's memory is its cells: a live object is copied
+//     as a 40-byte entry into every cell its coverage rectangle touches (up
+//     to four). A cell is a FIFO like the window queues: expiry removes its
+//     oldest entry by advancing a head index, the flush before each query
+//     compacts the expired prefix in place, and the per-problem state of
+//     the few split cells lives behind a pointer. On exact-1shard's stream
+//     the engine retains about 68 bytes of entry arrays per live cell entry
+//     (BenchmarkMaintain in internal/topk reports it as objs-B/entry).
 //   - The CCS engine, the grid approximations and the top-k engines share
 //     one packed cell layout: cells are addressed by a single uint64 key
 //     (grid.Cell.Pack, two sign-extended int32 coordinates) instead of a

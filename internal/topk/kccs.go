@@ -32,15 +32,22 @@
 // # Canonical rescoring and schedule independence
 //
 // Cells store their rectangle objects in arrival order (IDs are assigned by
-// the window engine in stream order), expired entries are tombstoned and
-// compaction preserves the order — the same storage discipline as the
-// single-region cellcspot engine. Whenever a candidate is valid and found,
-// its fc and fp equal the arrival-order left folds of the window
-// contributions of the objects visible to its problem that cover it. A
-// surviving stream New appends the last element of that fold (an O(1)
-// update); every other surviving visibility change (expiry of a covering
-// past object, a level promotion of an interior object) recomputes the fold
-// with rescore. Levels themselves are, after a resolve, a pure function of
+// the window engine in stream order). A cell is a FIFO with a head index,
+// the discipline of the window engine's own queues: the live entries are
+// objs[head:]. Window expiry is FIFO and a cell's entries are an
+// arrival-ordered subsequence of the stream, so an Expired event always
+// removes the cell's oldest entry — it advances head, and no entry is ever
+// tombstoned. The dead prefix is compacted away with one copy when a flush
+// visits the cell, or as soon as it is half of the slice (so a caller that
+// never queries stays bounded); compaction preserves the order.
+//
+// Whenever a candidate is valid and found, its fc and fp equal the
+// arrival-order left folds of the window contributions of the objects
+// visible to its problem that cover it. A surviving stream New appends the
+// last element of that fold (an O(1) update); every other surviving
+// visibility change (expiry of a covering past object, a level promotion of
+// an interior object) recomputes the fold with rescore. Levels themselves
+// are, after a resolve, a pure function of
 // the live content (the greedy chain determines them), so the reported
 // top-k scores are bitwise independent of when queries ran — the property
 // that makes the continuously maintained serving path provably equal to
@@ -58,6 +65,7 @@
 package topk
 
 import (
+	"fmt"
 	"math"
 
 	"surge/internal/core"
@@ -66,12 +74,12 @@ import (
 	"surge/internal/sweep"
 )
 
+// kobj is one cell entry: 40 bytes, the largest share of the engine's memory.
 type kobj struct {
 	id       uint64
 	x, y, wt float64
+	lvl      int32 // 1..k; visible to problem i iff lvl >= i
 	past     bool
-	dead     bool
-	lvl      int // 1..k; visible to problem i iff lvl >= i
 }
 
 type kcand struct {
@@ -86,8 +94,8 @@ type kcand struct {
 // problem (split).
 type kcell struct {
 	key     grid.Cell
-	objs    []kobj // arrival-ordered; expired entries are tombstoned
-	dead    int    // tombstones in objs
+	objs    []kobj // arrival-ordered FIFO; the live entries are objs[head:]
+	head    int    // expired entries before the first live one
 	leveled int    // live objects with lvl < k
 	split   bool   // per-problem state materialized
 	queued  bool   // in the engine's dirty queue awaiting a heap flush
@@ -101,9 +109,15 @@ type kcell struct {
 	scand  kcand
 	spos   int
 
-	// Per-problem state, authoritative while split; allocated on first
-	// split and kept across recycling. hpos[i] is the position in the i-th
-	// problem heap.
+	// Per-problem state, authoritative while split. Only the few cells
+	// around the current top-k regions ever split, so it lives out of line:
+	// nil until the first split, then kept across recycling.
+	*ksplit
+}
+
+// ksplit is a split cell's per-problem state; hpos[i] is the cell's
+// position in the i-th problem heap.
+type ksplit struct {
 	us    []float64
 	usCur []int
 	ud    []float64
@@ -128,13 +142,14 @@ func (c *kcell) setPos(ix, v int) {
 }
 
 // live returns the number of live objects in the cell.
-func (c *kcell) live() int { return len(c.objs) - c.dead }
+func (c *kcell) live() int { return len(c.objs) - c.head }
 
-// lookup returns the position of the live object with the given ID. IDs are
-// assigned in stream order and objs is arrival-ordered (compaction
-// preserves it), so the slice is sorted by ID and a binary search suffices.
+// lookup returns the position in objs of the live object with the given ID.
+// IDs are assigned in stream order and objs is arrival-ordered (compaction
+// preserves it), so the live entries are sorted by ID and a binary search
+// suffices.
 func (c *kcell) lookup(id uint64) (int, bool) {
-	lo, hi := 0, len(c.objs)
+	lo, hi := c.head, len(c.objs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if c.objs[mid].id < id {
@@ -143,27 +158,32 @@ func (c *kcell) lookup(id uint64) (int, bool) {
 			hi = mid
 		}
 	}
-	if lo < len(c.objs) && c.objs[lo].id == id && !c.objs[lo].dead {
+	if lo < len(c.objs) && c.objs[lo].id == id {
 		return lo, true
 	}
 	return 0, false
 }
 
-// remove tombstones the object at position i and compacts the backing array
-// once half of it is dead. Compaction preserves arrival order.
+// remove drops the live object at position i. Under FIFO expiry i is always
+// the head, which just advances; any other position (unreachable, kept
+// correct) is closed up with one shifting copy. The dead prefix is compacted
+// once it is half of the slice.
 func (c *kcell) remove(i int) {
-	c.objs[i].dead = true
-	c.dead++
-	if c.dead > 16 && c.dead*2 >= len(c.objs) {
-		kept := c.objs[:0]
-		for _, g := range c.objs {
-			if !g.dead {
-				kept = append(kept, g)
-			}
-		}
-		c.objs = kept
-		c.dead = 0
+	if i == c.head {
+		c.head++
+	} else {
+		copy(c.objs[i:], c.objs[i+1:])
+		c.objs = c.objs[:len(c.objs)-1]
 	}
+	if c.head*2 >= len(c.objs) {
+		c.compact()
+	}
+}
+
+// compact moves the live entries to the front of objs in place, in order.
+func (c *kcell) compact() {
+	c.objs = c.objs[:copy(c.objs, c.objs[c.head:])]
+	c.head = 0
 }
 
 // KCCS is the exact top-k detector. It is not safe for concurrent use.
@@ -206,6 +226,9 @@ func NewKCCS(cfg core.Config, k int) (*KCCS, error) {
 	}
 	if k < 1 {
 		k = 1
+	}
+	if k > math.MaxInt32 {
+		return nil, fmt.Errorf("topk: k=%d exceeds the int32 range of an object level", k)
 	}
 	e := &KCCS{
 		cfg:   cfg,
@@ -292,7 +315,7 @@ func (e *KCCS) dropCell(c *kcell) {
 // bounds and candidates. The new object is last in arrival order, so a
 // surviving covered candidate takes the O(1) canonical fold append.
 func (e *KCCS) applyNew(c *kcell, o core.Object, cover geom.Rect, dc float64) {
-	c.objs = append(c.objs, kobj{id: o.ID, x: o.X, y: o.Y, wt: o.Weight, lvl: e.k})
+	c.objs = append(c.objs, kobj{id: o.ID, x: o.X, y: o.Y, wt: o.Weight, lvl: int32(e.k)})
 	if !c.split {
 		c.sus += dc
 		c.susCur++
@@ -354,9 +377,9 @@ func (e *KCCS) applyGrown(c *kcell, id uint64, cover geom.Rect, dc float64) {
 		return
 	}
 	g := &c.objs[i]
-	lvl := g.lvl
+	lvl := int(g.lvl)
 	g.past = true
-	g.lvl = e.k
+	g.lvl = int32(e.k)
 	if !c.split { // lvl == k: a pure retag of the shared slot
 		c.sus -= dc
 		c.susCur--
@@ -396,11 +419,14 @@ func (e *KCCS) applyGrown(c *kcell, id uint64, cover geom.Rect, dc float64) {
 // covered candidate that survives the removal of a past object (Lemma 4)
 // is rescored canonically over the survivors.
 func (e *KCCS) applyExpired(c *kcell, id uint64, cover geom.Rect, dc, dp float64) {
-	i, ok := c.lookup(id)
-	if !ok {
-		return
+	i := c.head // FIFO expiry: the oldest entry (see the package comment)
+	if i == len(c.objs) || c.objs[i].id != id {
+		var ok bool
+		if i, ok = c.lookup(id); !ok {
+			return
+		}
 	}
-	lvl := c.objs[i].lvl
+	lvl := int(c.objs[i].lvl)
 	past := c.objs[i].past
 	if !c.split {
 		c.remove(i)
@@ -447,7 +473,7 @@ func (e *KCCS) applyExpired(c *kcell, id uint64, cover geom.Rect, dc, dp float64
 }
 
 // candRmPast applies the removal of a visible past object to one candidate
-// slot (the object must already be tombstoned so the rescore folds over the
+// slot (the object must already be removed so the rescore folds over the
 // survivors).
 func (e *KCCS) candRmPast(c *kcell, cd *kcand, cover geom.Rect, ix int) {
 	if !cd.valid || !cd.found {
@@ -481,7 +507,7 @@ func (e *KCCS) candRmCur(cd *kcand, cover geom.Rect) {
 }
 
 // newCell takes a recycled cell or allocates a fresh one. Fresh cells start
-// unsplit; the per-problem slices are materialized on first split and kept
+// unsplit; the per-problem state is materialized on first split and kept
 // across recycling.
 func (e *KCCS) newCell(ck grid.Cell) *kcell {
 	var c *kcell
@@ -502,7 +528,7 @@ func (e *KCCS) newCell(ck grid.Cell) *kcell {
 // bit-identical score guarantees.
 func (e *KCCS) recycle(c *kcell) {
 	c.objs = c.objs[:0]
-	c.dead = 0
+	c.head = 0
 	c.leveled = 0
 	c.split = false
 	c.sus = 0
@@ -510,12 +536,14 @@ func (e *KCCS) recycle(c *kcell) {
 	c.sud = math.Inf(1)
 	c.scand = kcand{}
 	c.spos = -1
-	for ix := range c.us {
-		c.us[ix] = 0
-		c.usCur[ix] = 0
-		c.ud[ix] = math.Inf(1)
-		c.cand[ix] = kcand{}
-		c.hpos[ix] = -1
+	if c.ksplit != nil {
+		for ix := range c.us {
+			c.us[ix] = 0
+			c.usCur[ix] = 0
+			c.ud[ix] = math.Inf(1)
+			c.cand[ix] = kcand{}
+			c.hpos[ix] = -1
+		}
 	}
 	e.free = append(e.free, c)
 }
@@ -528,12 +556,14 @@ func (e *KCCS) ensureSplit(c *kcell) {
 		return
 	}
 	c.split = true
-	if c.us == nil {
-		c.us = make([]float64, e.k)
-		c.usCur = make([]int, e.k)
-		c.ud = make([]float64, e.k)
-		c.cand = make([]kcand, e.k)
-		c.hpos = make([]int, e.k)
+	if c.ksplit == nil {
+		c.ksplit = &ksplit{
+			us:    make([]float64, e.k),
+			usCur: make([]int, e.k),
+			ud:    make([]float64, e.k),
+			cand:  make([]kcand, e.k),
+			hpos:  make([]int, e.k),
+		}
 		for ix := range c.hpos {
 			c.hpos[ix] = -1
 		}
@@ -584,9 +614,11 @@ func (e *KCCS) enqueue(c *kcell) {
 	}
 }
 
-// flush refreshes the heap keys of the queued cells, folds split cells with
-// no remaining leveled objects back to the shared representation, and
-// recycles the cells that emptied since they were queued.
+// flush refreshes the heap keys of the queued cells, compacts their expired
+// prefixes, folds split cells with no remaining leveled objects back to the
+// shared representation, and recycles the cells that emptied since they were
+// queued. Every cell an event touched is queued, so after a flush no cell
+// holds an expired entry.
 func (e *KCCS) flush() {
 	for _, c := range e.queue {
 		c.queued = false
@@ -594,6 +626,9 @@ func (e *KCCS) flush() {
 			c.gone = false
 			e.recycle(c)
 			continue
+		}
+		if c.head > 0 {
+			c.compact()
 		}
 		if c.split && c.leveled == 0 {
 			e.unsplit(c)
@@ -622,9 +657,10 @@ func (e *KCCS) candScore(cd *kcand) float64 {
 func (e *KCCS) rescore(c *kcell, cd *kcand, ix int) {
 	var fc, fp float64
 	p := cd.p
-	for j := range c.objs {
-		g := &c.objs[j]
-		if g.dead || g.lvl <= ix || !e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
+	live := c.objs[c.head:]
+	for j := range live {
+		g := &live[j]
+		if int(g.lvl) <= ix || !e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
 			continue
 		}
 		if g.past {
@@ -678,7 +714,7 @@ func (e *KCCS) applyRank(i int, oldFound bool, oldP geom.Point, selFound bool, s
 		// saved copies and their levels stay exact.
 		for _, o := range e.covering(selP) {
 			e.selScratch = append(e.selScratch, o)
-			if o.lvl >= i {
+			if int(o.lvl) >= i {
 				e.idScratch = append(e.idScratch, o.id)
 			}
 		}
@@ -689,13 +725,13 @@ func (e *KCCS) applyRank(i int, oldFound bool, oldP geom.Point, selFound bool, s
 		// and so is in idScratch — the promotion pass is a provable no-op and
 		// the second covering scan is skipped entirely.
 		for _, o := range e.covering(oldP) {
-			if o.lvl == i && !containsID(e.idScratch, o.id) {
+			if int(o.lvl) == i && !containsID(e.idScratch, o.id) {
 				e.setLevel(o, e.k) // newly visible to every problem again
 			}
 		}
 	}
 	for _, o := range e.selScratch {
-		if o.lvl > i {
+		if int(o.lvl) > i {
 			e.setLevel(o, i) // now consumed by problem i
 		}
 	}
@@ -755,9 +791,10 @@ func (e *KCCS) covering(p geom.Point) []kobj {
 		// column, so the cell of p holds a copy of each — one scan, no
 		// dedupe.
 		if c := e.cells[pc.Pack()]; c != nil {
-			for j := range c.objs {
-				g := &c.objs[j]
-				if !g.dead && e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
+			live := c.objs[c.head:]
+			for j := range live {
+				g := &live[j]
+				if e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
 					e.covScratch = append(e.covScratch, *g)
 				}
 			}
@@ -775,9 +812,10 @@ func (e *KCCS) covering(p geom.Point) []kobj {
 		if c == nil {
 			continue
 		}
-		for j := range c.objs {
-			g := &c.objs[j]
-			if !g.dead && e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
+		live := c.objs[c.head:]
+		for j := range live {
+			g := &live[j]
+			if e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
 				e.covScratch = append(e.covScratch, *g)
 			}
 		}
@@ -835,7 +873,7 @@ func containsID(ids []uint64, id uint64) bool {
 // interior arrival positions, so a covered candidate that survives one is
 // rescored canonically rather than updated incrementally.
 func (e *KCCS) setLevel(o kobj, lvl int) {
-	old := o.lvl
+	old := int(o.lvl)
 	if old == lvl {
 		return
 	}
@@ -854,7 +892,7 @@ func (e *KCCS) setLevel(o kobj, lvl int) {
 		}
 		e.stats.CellsTouched++
 		e.ensureSplit(c)
-		c.objs[j].lvl = lvl
+		c.objs[j].lvl = int32(lvl)
 		switch {
 		case old == e.k && lvl < e.k:
 			c.leveled++
@@ -1066,11 +1104,9 @@ func (e *KCCS) searchCellShared(c *kcell) {
 	e.entryScratch = e.entryScratch[:0]
 	us := 0.0
 	cur := 0
-	for j := range c.objs {
-		g := &c.objs[j]
-		if g.dead {
-			continue
-		}
+	live := c.objs[c.head:]
+	for j := range live {
+		g := &live[j]
 		e.entryScratch = append(e.entryScratch, sweep.Entry{X: g.x, Y: g.y, Weight: g.wt, Past: g.past})
 		if !g.past {
 			us += g.wt / e.cfg.WC
@@ -1099,9 +1135,10 @@ func (e *KCCS) searchCell(c *kcell, i int) {
 	e.entryScratch = e.entryScratch[:0]
 	us := 0.0
 	cur := 0
-	for j := range c.objs {
-		g := &c.objs[j]
-		if g.dead || g.lvl < i {
+	live := c.objs[c.head:]
+	for j := range live {
+		g := &live[j]
+		if int(g.lvl) < i {
 			continue
 		}
 		e.entryScratch = append(e.entryScratch, sweep.Entry{X: g.x, Y: g.y, Weight: g.wt, Past: g.past})

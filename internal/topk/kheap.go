@@ -3,12 +3,13 @@ package topk
 import "math"
 
 // kheap is an indexed max-heap over the engine's cells. Unlike the generic
-// iheap, the position index lives inside the cells themselves (kcell.spos
-// for the shared heap, kcell.hpos[ix] for a problem heap), so heap
-// maintenance — one Set per flushed cell, one Remove per dead cell, on the
-// per-event maintenance path — never touches a hash map. Replacing the
-// map-keyed heap removed the dominant cost (16-byte key hashing and map
-// probes) of continuous top-k maintenance.
+// iheap, the position index lives inside the cells themselves: kcell.spos
+// for the shared heap, and for the i-th problem heap hpos[i] of the cell's
+// out-of-line ksplit (only split cells enter the problem heaps, and only
+// they have a ksplit). So heap maintenance — one Set per flushed cell, one
+// Remove per dead cell, on the per-event maintenance path — never touches a
+// hash map. Replacing the map-keyed heap removed the dominant cost (16-byte
+// key hashing and map probes) of continuous top-k maintenance.
 type kheap struct {
 	ix    int // position slot this heap maintains: -1 = shared, else problem index
 	cells []*kcell
