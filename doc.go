@@ -138,14 +138,17 @@
 //     current top-k regions); heap positions are stored in the cells
 //     instead of hash maps; and heap-key refreshes are deferred to a dirty
 //     queue flushed once per query instead of per visibility operation.
-//   - The exact top-k engine's memory is its cells: a live object is copied
-//     as a 40-byte entry into every cell its coverage rectangle touches (up
-//     to four). A cell is a FIFO like the window queues: expiry removes its
-//     oldest entry by advancing a head index, the flush before each query
-//     compacts the expired prefix in place, and the per-problem state of
-//     the few split cells lives behind a pointer. On exact-1shard's stream
-//     the engine retains about 68 bytes of entry arrays per live cell entry
-//     (BenchmarkMaintain in internal/topk reports it as objs-B/entry).
+//   - The exact top-k engine keeps one 72-byte record per live object in a
+//     ring (position, weight, level, and the cells holding it), and its
+//     cells hold 4-byte references into the ring instead of copies, so
+//     Grown and Expired events go straight to the object's cells without a
+//     map probe. A cell is a FIFO like the window queues: expiry removes its
+//     oldest reference by advancing a head index, the flush before each
+//     query compacts the expired prefix in place, and the per-problem state
+//     of the few split cells lives behind a pointer. On exact-1shard's
+//     stream the engine retains about 120 bytes of references and records
+//     per live object, against about 300 when each cell copied the object
+//     (BenchmarkMaintain in internal/topk reports it as B/live-obj).
 //   - The CCS engine, the grid approximations and the top-k engines share
 //     one packed cell layout: cells are addressed by a single uint64 key
 //     (grid.Cell.Pack, two sign-extended int32 coordinates) instead of a

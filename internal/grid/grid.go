@@ -2,7 +2,8 @@
 //
 // The exact engine (Cell-CSPOT, Section IV-C of the paper) uses a grid whose
 // cells have exactly the query-rectangle size, so every rectangle object
-// overlaps at most four cells (Lemma 1). GAP-SURGE (Section V-A) uses the
+// overlaps at most four cells (Lemma 1; in floating point up to nine, see
+// CoverCells). GAP-SURGE (Section V-A) uses the
 // same grid with each cell acting as a candidate region, and MGAP-SURGE
 // (Section V-B) adds the three half-cell-shifted grids. The adapted aG2
 // baseline uses a coarser grid whose cells are a multiple of the query size.
@@ -85,7 +86,11 @@ func (g Grid) CellRect(c Cell) geom.Rect {
 // CoverCells appends to dst the cells whose region intersects the coverage
 // rectangle (x, x+w] x (y, y+h] of a rectangle object anchored at (x, y),
 // and returns the extended slice. When w <= CW and h <= CH (the Cell-CSPOT
-// configuration) this is always exactly four cells (Lemma 1).
+// configuration) Lemma 1 bounds this by four cells in exact arithmetic. The
+// floors are taken in floating point, though: for an anchor one ulp below a
+// cell line, floor(x/CW) can land in the column below and floor((x+w)/CW)
+// two columns up, so an object may get three columns and three rows (nine
+// cells). Callers must not assume four.
 func (g Grid) CoverCells(dst []Cell, x, y, w, h float64) []Cell {
 	return g.CoverCellsOwned(dst, x, y, w, h, nil)
 }
@@ -93,9 +98,10 @@ func (g Grid) CoverCells(dst []Cell, x, y, w, h float64) []Cell {
 // CoverCellsOwned is CoverCells restricted to the cells whose column index
 // cols owns (nil keeps every cell). It serves the exact engines' sharded
 // ownership filter: their grids are query-aligned, so cell column I is
-// exactly candidate-point column I, the coverage spans at most two columns,
-// and ownership costs at most two ShardOf evaluations instead of one per
-// cell. Keeping the span arithmetic in one place also keeps the engines and
+// exactly candidate-point column I, the coverage spans two columns (three
+// when a floating-point floor lands on the far side of a cell line, see
+// CoverCells), and ownership costs one ShardOf evaluation per column instead
+// of one per cell. Keeping the span arithmetic in one place also keeps the engines and
 // the shard router agreeing on ownership bit for bit.
 func (g Grid) CoverCellsOwned(dst []Cell, x, y, w, h float64, cols *core.ColumnSet) []Cell {
 	// Columns run from the one containing the open left edge to the one

@@ -1,9 +1,11 @@
 package grid
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
+	"surge/internal/core"
 	"surge/internal/geom"
 )
 
@@ -98,6 +100,41 @@ func TestCoverCellsLemma1(t *testing.T) {
 	cells := g.CoverCells(nil, 0, 0, 1.5, 2.5)
 	if len(cells) != 4 {
 		t.Fatalf("aligned anchor overlaps %d cells, want 4", len(cells))
+	}
+}
+
+// TestCoverCellsFloatBoundary pins the floating-point exception to Lemma 1:
+// an anchor one ulp below the first cell line floors into column 0, while
+// x+w rounds up to the second line and floors into column 2, so the object
+// gets three columns and three rows. A column ownership mask keeps three
+// cells for each owned column.
+func TestCoverCellsFloatBoundary(t *testing.T) {
+	const w = 8.80643122741617
+	x := 8.806431227416168
+	if x != math.Nextafter(w, 0) {
+		t.Fatalf("anchor %v is not one ulp below %v", x, w)
+	}
+	g := Aligned(w, w)
+	cells := g.CoverCells(nil, x, x, w, w)
+	if len(cells) != 9 {
+		t.Fatalf("anchor (%v,%v) covers %d cells, want 9: %v", x, x, len(cells), cells)
+	}
+	for i, c := range cells {
+		if want := (Cell{I: i / 3, J: i % 3}); c != want {
+			t.Fatalf("cell %d is %+v, want %+v", i, c, want)
+		}
+	}
+	for ix := 0; ix < 3; ix++ {
+		cols := &core.ColumnSet{Block: 1, Shards: 3, Index: ix}
+		owned := g.CoverCellsOwned(nil, x, x, w, w, cols)
+		if len(owned) != 3 {
+			t.Fatalf("shard %d of 3 keeps %d cells, want 3: %v", ix, len(owned), owned)
+		}
+		for _, c := range owned {
+			if c.I != ix {
+				t.Fatalf("shard %d keeps cell %+v of another column", ix, c)
+			}
+		}
 	}
 }
 

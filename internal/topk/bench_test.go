@@ -2,7 +2,6 @@ package topk
 
 import (
 	"testing"
-	"unsafe"
 
 	"surge/internal/core"
 	"surge/internal/stream"
@@ -16,8 +15,8 @@ import (
 // filled before the timer starts (about 104k live objects) and the stream
 // is cycled with shifted times, so every batch is steady state. An op is one
 // batch; ns/event divides the time by the window events processed, and
-// objs-B/entry is the cell-entry memory the engine retains per live entry
-// when the run ends.
+// B/live-obj is the cell-entry and record memory the engine retains per live
+// object when the run ends (see census).
 func BenchmarkMaintain(b *testing.B) {
 	const (
 		rate   = 15e6 // objects per day
@@ -79,7 +78,7 @@ func BenchmarkMaintain(b *testing.B) {
 		events += len(evs)
 	}
 	b.StopTimer()
-	live, capacity := census(e)
+	_, retained := census(e)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	b.ReportMetric(float64(capacity)*float64(unsafe.Sizeof(kobj{}))/float64(live), "objs-B/entry")
+	b.ReportMetric(float64(retained)/float64(e.rtail-e.rhead), "B/live-obj")
 }

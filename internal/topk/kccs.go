@@ -31,10 +31,21 @@
 //
 // # Canonical rescoring and schedule independence
 //
-// Cells store their rectangle objects in arrival order (IDs are assigned by
-// the window engine in stream order). A cell is a FIFO with a head index,
-// the discipline of the window engine's own queues: the live entries are
-// objs[head:]. Window expiry is FIFO and a cell's entries are an
+// The engine keeps one record per live object it accepted (kobj: position,
+// weight, level, past flag) in a power-of-two circular ring indexed by a
+// uint32 sequence number assigned in arrival order. A cell does not copy its
+// objects: its entries are 4-byte seqs into the ring, in arrival order (IDs
+// are assigned by the window engine in stream order). Each record also
+// caches the cells that hold it, so Grown, Expired and a level change go
+// straight to those cells; only New and covering consult the cell map. Grid
+// floors in floating point can give an object more than the four cells of
+// Lemma 1 (see grid.CoverCells); such a record caches none and its cells are
+// found through the map. Window expiry and growth are FIFO, so an event's
+// record is found at the ring's head or at its oldest not-yet-Grown record,
+// with a binary search by id as the fallback.
+//
+// A cell is a FIFO with a head index, the discipline of the window engine's
+// own queues: the live entries are objs[head:]. A cell's entries are an
 // arrival-ordered subsequence of the stream, so an Expired event always
 // removes the cell's oldest entry — it advances head, and no entry is ever
 // tombstoned. The dead prefix is compacted away with one copy when a flush
@@ -74,13 +85,20 @@ import (
 	"surge/internal/sweep"
 )
 
-// kobj is one cell entry: 40 bytes, the largest share of the engine's memory.
+// kobj is the engine's record of one live object: 72 bytes, one per object,
+// however many cells hold it (see the package comment).
 type kobj struct {
 	id       uint64
 	x, y, wt float64
 	lvl      int32 // 1..k; visible to problem i iff lvl >= i
 	past     bool
+	dead     bool  // expired out of FIFO order; retired when it reaches the head
+	nc       uint8 // cells cached in cells; 0 = more than four, use the map
+	cells    [4]*kcell
 }
+
+// minRing is the ring's first capacity; it doubles whenever it is full.
+const minRing = 256
 
 type kcand struct {
 	valid  bool
@@ -94,12 +112,12 @@ type kcand struct {
 // problem (split).
 type kcell struct {
 	key     grid.Cell
-	objs    []kobj // arrival-ordered FIFO; the live entries are objs[head:]
-	head    int    // expired entries before the first live one
-	leveled int    // live objects with lvl < k
-	split   bool   // per-problem state materialized
-	queued  bool   // in the engine's dirty queue awaiting a heap flush
-	gone    bool   // emptied while queued; recycled at the next flush
+	objs    []uint32 // ring seqs, an arrival-ordered FIFO; the live entries are objs[head:]
+	head    int      // expired entries before the first live one
+	leveled int      // live objects with lvl < k
+	split   bool     // per-problem state materialized
+	queued  bool     // in the engine's dirty queue awaiting a heap flush
+	gone    bool     // emptied while queued; recycled at the next flush
 
 	// Shared state, authoritative while !split: one slot serves every
 	// problem, and spos is the cell's position in the engine's shared heap.
@@ -144,26 +162,6 @@ func (c *kcell) setPos(ix, v int) {
 // live returns the number of live objects in the cell.
 func (c *kcell) live() int { return len(c.objs) - c.head }
 
-// lookup returns the position in objs of the live object with the given ID.
-// IDs are assigned in stream order and objs is arrival-ordered (compaction
-// preserves it), so the live entries are sorted by ID and a binary search
-// suffices.
-func (c *kcell) lookup(id uint64) (int, bool) {
-	lo, hi := c.head, len(c.objs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.objs[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(c.objs) && c.objs[lo].id == id {
-		return lo, true
-	}
-	return 0, false
-}
-
 // remove drops the live object at position i. Under FIFO expiry i is always
 // the head, which just advances; any other position (unreachable, kept
 // correct) is closed up with one shifting copy. The dead prefix is compacted
@@ -197,6 +195,13 @@ type KCCS struct {
 	sr    sweep.Searcher
 	stats core.Stats
 
+	// The live records: seq s lives at ring[s&(len(ring)-1)]. Seqs are
+	// compared by their offset from rhead, so the uint32 wrap is harmless.
+	ring  []kobj
+	rhead uint32 // oldest live seq
+	rtail uint32 // next seq to assign
+	rgrow uint32 // oldest seq not yet Grown
+
 	top   []kcand // current top-k points (the level assignment anchors)
 	dirty bool
 
@@ -204,10 +209,11 @@ type KCCS struct {
 	free  []*kcell // emptied cells kept for reuse
 
 	cellScratch  []grid.Cell
+	heldScratch  []*kcell // cellsOf() results for an object with more than four cells
 	entryScratch []sweep.Entry
-	covScratch   []kobj   // covering() results (copies of cell entries)
-	covMerge     []kobj   // covering() merge buffer (sharded 3-cell union)
-	selScratch   []kobj   // applyRank's saved covering(selP) set
+	covScratch   []uint32 // covering() results (seqs)
+	covMerge     []uint32 // covering() merge buffer (sharded 3-cell union)
+	selScratch   []uint32 // applyRank's saved covering(selP) set
 	idScratch    []uint64 // ids consumed by the new rank point, ascending
 	tieShared    []*kcell // canonicalSolve's popped unsplit cells
 	tieSplit     []*kcell // canonicalSolve's popped split cells
@@ -254,37 +260,39 @@ func (e *KCCS) Process(ev core.Event) {
 	if !e.cfg.InArea(ev.Obj) {
 		return
 	}
-	o := ev.Obj
-	// Sharded ownership is applied per cover cell (grid.CoverCellsOwned): a
-	// kept cell still receives every object whose coverage touches it —
-	// neighbour-column objects included — so its content matches the single
-	// engine's and the per-cell work is partitioned exactly (each
-	// (event, cell) pair is processed by one shard).
-	e.cellScratch = e.grid.CoverCellsOwned(e.cellScratch[:0], o.X, o.Y, e.cfg.Width, e.cfg.Height, e.cfg.Cols)
-	if len(e.cellScratch) == 0 {
+	if ev.Kind == core.New {
+		e.processNew(ev.Obj)
 		return
+	}
+	want := e.rhead // FIFO expiry: the oldest record
+	if ev.Kind == core.Grown {
+		want = e.rgrow
+	}
+	s, ok := e.find(ev.Obj.ID, want)
+	if !ok {
+		return // object was filtered (no owned cell) or unknown; nothing to undo
 	}
 	e.stats.Events++
 	e.dirty = true
-	cover := e.cfg.CoverRect(o.X, o.Y)
-	dc := o.Weight / e.cfg.WC
-	dp := o.Weight / e.cfg.WP
-	for _, ck := range e.cellScratch {
-		e.stats.CellsTouched++
-		c := e.cells[ck.Pack()]
-		if c == nil {
-			if ev.Kind != core.New {
-				continue // object was filtered or unknown; nothing to undo
+	r := e.rec(s)
+	cover := e.cfg.CoverRect(r.x, r.y)
+	dc := r.wt / e.cfg.WC
+	dp := r.wt / e.cfg.WP
+	lvl, past := int(r.lvl), r.past
+	if ev.Kind == core.Grown && !past {
+		r.past = true
+		r.lvl = int32(e.k)
+		if s == e.rgrow {
+			for e.rgrow++; e.rgrow != e.rtail && e.rec(e.rgrow).past; e.rgrow++ {
 			}
-			c = e.newCell(ck)
 		}
-		switch ev.Kind {
-		case core.New:
-			e.applyNew(c, o, cover, dc)
-		case core.Grown:
-			e.applyGrown(c, o.ID, cover, dc)
-		case core.Expired:
-			e.applyExpired(c, o.ID, cover, dc, dp)
+	}
+	for _, c := range e.cellsOf(r) {
+		e.stats.CellsTouched++
+		if ev.Kind == core.Expired {
+			e.applyExpired(c, s, lvl, past, cover, dc, dp)
+		} else if !past {
+			e.applyGrown(c, lvl, cover, dc)
 		}
 		if c.live() == 0 {
 			e.dropCell(c)
@@ -292,6 +300,156 @@ func (e *KCCS) Process(ev core.Event) {
 		}
 		e.enqueue(c)
 	}
+	if ev.Kind == core.Expired {
+		e.retire(s)
+	}
+}
+
+// processNew records an accepted object and appends it to its cover cells.
+// Sharded ownership is applied per cover cell (grid.CoverCellsOwned): a kept
+// cell still receives every object whose coverage touches it —
+// neighbour-column objects included — so its content matches the single
+// engine's and the per-cell work is partitioned exactly (each (event, cell)
+// pair is processed by one shard). An object with no owned cell gets no
+// record.
+func (e *KCCS) processNew(o core.Object) {
+	e.cellScratch = e.grid.CoverCellsOwned(e.cellScratch[:0], o.X, o.Y, e.cfg.Width, e.cfg.Height, e.cfg.Cols)
+	n := len(e.cellScratch)
+	if n == 0 {
+		return
+	}
+	e.stats.Events++
+	e.dirty = true
+	s := e.push(o)
+	r := e.rec(s)
+	cache := n <= len(r.cells)
+	if cache {
+		r.nc = uint8(n)
+	}
+	cover := e.cfg.CoverRect(o.X, o.Y)
+	dc := o.Weight / e.cfg.WC
+	for i, ck := range e.cellScratch {
+		e.stats.CellsTouched++
+		c := e.cells[ck.Pack()]
+		if c == nil {
+			c = e.newCell(ck)
+		}
+		if cache {
+			r.cells[i] = c
+		}
+		e.applyNew(c, s, cover, dc)
+		e.enqueue(c)
+	}
+}
+
+// rec returns the record of live seq s.
+func (e *KCCS) rec(s uint32) *kobj {
+	return &e.ring[s&uint32(len(e.ring)-1)]
+}
+
+// push records a newly accepted object at level k and returns its seq. The
+// ring doubles only when it is full, copying each live seq to its slot under
+// the new mask.
+func (e *KCCS) push(o core.Object) uint32 {
+	if int(e.rtail-e.rhead) == len(e.ring) {
+		ring := make([]kobj, max(2*len(e.ring), minRing))
+		mask := uint32(len(ring) - 1)
+		for s := e.rhead; s != e.rtail; s++ {
+			ring[s&mask] = *e.rec(s)
+		}
+		e.ring = ring
+	}
+	s := e.rtail
+	e.rtail++
+	*e.rec(s) = kobj{id: o.ID, x: o.X, y: o.Y, wt: o.Weight, lvl: int32(e.k)}
+	return s
+}
+
+// find returns the seq of the live record with the given id. The FIFO order
+// of window events puts it at want (the head for Expired, the oldest
+// not-yet-Grown record for Grown); otherwise the records, which ascend by
+// id, are binary searched.
+func (e *KCCS) find(id uint64, want uint32) (uint32, bool) {
+	if want != e.rtail {
+		if r := e.rec(want); r.id == id && !r.dead {
+			return want, true
+		}
+	}
+	lo, hi := uint32(0), e.rtail-e.rhead
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if e.rec(e.rhead+mid).id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if s := e.rhead + lo; s != e.rtail {
+		if r := e.rec(s); r.id == id && !r.dead {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
+// retire drops the record of an expired seq. The head is popped, together
+// with any dead records behind it; popped slots are zeroed so the ring
+// retains no cell. Any other seq (unreachable under FIFO expiry, kept
+// correct) is marked dead and popped when it reaches the head.
+func (e *KCCS) retire(s uint32) {
+	if s != e.rhead {
+		// The id keeps the ring searchable; past lets the Grown cursor skip it.
+		*e.rec(s) = kobj{id: e.rec(s).id, past: true, dead: true}
+		return
+	}
+	for {
+		if e.rgrow == e.rhead {
+			e.rgrow++
+		}
+		*e.rec(e.rhead) = kobj{}
+		e.rhead++
+		if e.rhead == e.rtail || !e.rec(e.rhead).dead {
+			return
+		}
+	}
+}
+
+// cellsOf returns the cells holding the live record r: its cached cells, or,
+// for an object with more than four cells, its owned cover cells looked up
+// in the map (every one of them holds it while it is live). The result is
+// valid until the next call.
+func (e *KCCS) cellsOf(r *kobj) []*kcell {
+	if r.nc > 0 {
+		return r.cells[:r.nc]
+	}
+	e.cellScratch = e.grid.CoverCellsOwned(e.cellScratch[:0], r.x, r.y, e.cfg.Width, e.cfg.Height, e.cfg.Cols)
+	e.heldScratch = e.heldScratch[:0]
+	for _, ck := range e.cellScratch {
+		if c := e.cells[ck.Pack()]; c != nil {
+			e.heldScratch = append(e.heldScratch, c)
+		}
+	}
+	return e.heldScratch
+}
+
+// indexIn returns the position in c.objs of live seq s. A cell's seqs
+// ascend in arrival order (compaction preserves it), so a binary search by
+// offset from the ring head suffices.
+func (e *KCCS) indexIn(c *kcell, s uint32) (int, bool) {
+	d := s - e.rhead
+	lo, hi := c.head, len(c.objs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.objs[mid]-e.rhead < d {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(c.objs) && c.objs[lo] == s {
+		return lo, true
+	}
+	return 0, false
 }
 
 // dropCell removes an emptied cell from the map and heaps and retires it.
@@ -314,8 +472,8 @@ func (e *KCCS) dropCell(c *kcell) {
 // applyNew appends the object (visible to every problem) and updates the
 // bounds and candidates. The new object is last in arrival order, so a
 // surviving covered candidate takes the O(1) canonical fold append.
-func (e *KCCS) applyNew(c *kcell, o core.Object, cover geom.Rect, dc float64) {
-	c.objs = append(c.objs, kobj{id: o.ID, x: o.X, y: o.Y, wt: o.Weight, lvl: int32(e.k)})
+func (e *KCCS) applyNew(c *kcell, s uint32, cover geom.Rect, dc float64) {
+	c.objs = append(c.objs, s)
 	if !c.split {
 		c.sus += dc
 		c.susCur++
@@ -366,20 +524,13 @@ func (e *KCCS) setUD(c *kcell, ix int, v float64) {
 	}
 }
 
-// applyGrown retags the object from Wc to Wp. The transition also promotes
-// the object back to level k (Algorithm 4): for the problems it was visible
-// to, the retag keeps bounds per Eqn 3 and invalidates covered candidates
-// (Lemma 4, case 2); for the problems it was demoted out of, it becomes
-// visible as a past object, which only ever lowers scores.
-func (e *KCCS) applyGrown(c *kcell, id uint64, cover geom.Rect, dc float64) {
-	i, ok := c.lookup(id)
-	if !ok || c.objs[i].past {
-		return
-	}
-	g := &c.objs[i]
-	lvl := int(g.lvl)
-	g.past = true
-	g.lvl = int32(e.k)
+// applyGrown applies to one cell the retag of a current object at level lvl
+// from Wc to Wp (the caller has updated its record). The transition also
+// promotes the object back to level k (Algorithm 4): for the problems it
+// was visible to, the retag keeps bounds per Eqn 3 and invalidates covered
+// candidates (Lemma 4, case 2); for the problems it was demoted out of, it
+// becomes visible as a past object, which only ever lowers scores.
+func (e *KCCS) applyGrown(c *kcell, lvl int, cover geom.Rect, dc float64) {
 	if !c.split { // lvl == k: a pure retag of the shared slot
 		c.sus -= dc
 		c.susCur--
@@ -415,19 +566,18 @@ func (e *KCCS) applyGrown(c *kcell, id uint64, cover geom.Rect, dc float64) {
 	}
 }
 
-// applyExpired removes the object from the problems it is visible to. A
-// covered candidate that survives the removal of a past object (Lemma 4)
-// is rescored canonically over the survivors.
-func (e *KCCS) applyExpired(c *kcell, id uint64, cover geom.Rect, dc, dp float64) {
+// applyExpired removes seq s, an object at level lvl, from one cell and from
+// the problems it is visible to. A covered candidate that survives the
+// removal of a past object (Lemma 4) is rescored canonically over the
+// survivors.
+func (e *KCCS) applyExpired(c *kcell, s uint32, lvl int, past bool, cover geom.Rect, dc, dp float64) {
 	i := c.head // FIFO expiry: the oldest entry (see the package comment)
-	if i == len(c.objs) || c.objs[i].id != id {
+	if i == len(c.objs) || c.objs[i] != s {
 		var ok bool
-		if i, ok = c.lookup(id); !ok {
+		if i, ok = e.indexIn(c, s); !ok {
 			return
 		}
 	}
-	lvl := int(c.objs[i].lvl)
-	past := c.objs[i].past
 	if !c.split {
 		c.remove(i)
 		if past {
@@ -476,9 +626,17 @@ func (e *KCCS) applyExpired(c *kcell, id uint64, cover geom.Rect, dc, dp float64
 // slot (the object must already be removed so the rescore folds over the
 // survivors).
 func (e *KCCS) candRmPast(c *kcell, cd *kcand, cover geom.Rect, ix int) {
-	if !cd.valid || !cd.found {
+	if !cd.valid {
+		return
+	}
+	if !cd.found {
 		// A valid not-found candidate stays valid: every point in the cell
-		// has fc == 0 and removing past weight keeps scores at zero.
+		// has fc == 0 and removing past weight keeps scores at zero. Its
+		// bound stays the exact 0 the caller just loosened, or a cell whose
+		// current objects cover none of its points (a floating-point
+		// boundary case, see grid.CoverCells) would top the heap with a
+		// positive key and hide every other cell from solve.
+		e.setUD(c, ix, 0)
 		return
 	}
 	switch {
@@ -657,9 +815,9 @@ func (e *KCCS) candScore(cd *kcand) float64 {
 func (e *KCCS) rescore(c *kcell, cd *kcand, ix int) {
 	var fc, fp float64
 	p := cd.p
-	live := c.objs[c.head:]
-	for j := range live {
-		g := &live[j]
+	ring, mask := e.ring, uint32(len(e.ring)-1)
+	for _, s := range c.objs[c.head:] {
+		g := &ring[s&mask]
 		if int(g.lvl) <= ix || !e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
 			continue
 		}
@@ -711,11 +869,11 @@ func (e *KCCS) applyRank(i int, oldFound bool, oldP geom.Point, selFound bool, s
 		// One scan serves both selP passes: the promotion pass in between
 		// only touches objects that do not cover selP (an object covering
 		// both points at lvl == i is in idScratch and skipped), so the
-		// saved copies and their levels stay exact.
-		for _, o := range e.covering(selP) {
-			e.selScratch = append(e.selScratch, o)
-			if int(o.lvl) >= i {
-				e.idScratch = append(e.idScratch, o.id)
+		// saved set and its levels stay exact.
+		for _, s := range e.covering(selP) {
+			e.selScratch = append(e.selScratch, s)
+			if r := e.rec(s); int(r.lvl) >= i {
+				e.idScratch = append(e.idScratch, r.id)
 			}
 		}
 	}
@@ -724,15 +882,15 @@ func (e *KCCS) applyRank(i int, oldFound bool, oldP geom.Point, selFound bool, s
 		// hotspot), every oldP-covering object at lvl == i also covers selP
 		// and so is in idScratch — the promotion pass is a provable no-op and
 		// the second covering scan is skipped entirely.
-		for _, o := range e.covering(oldP) {
-			if int(o.lvl) == i && !containsID(e.idScratch, o.id) {
-				e.setLevel(o, e.k) // newly visible to every problem again
+		for _, s := range e.covering(oldP) {
+			if r := e.rec(s); int(r.lvl) == i && !containsID(e.idScratch, r.id) {
+				e.setLevel(s, e.k) // newly visible to every problem again
 			}
 		}
 	}
-	for _, o := range e.selScratch {
-		if int(o.lvl) > i {
-			e.setLevel(o, i) // now consumed by problem i
+	for _, s := range e.selScratch {
+		if int(e.rec(s).lvl) > i {
+			e.setLevel(s, i) // now consumed by problem i
 		}
 	}
 }
@@ -775,36 +933,34 @@ func (e *KCCS) candResult(cd *kcand) core.Result {
 	}
 }
 
-// covering returns copies of the live objects held by this engine whose
+// covering returns the seqs of the live objects held by this engine whose
 // coverage rectangle covers p, in arrival (= id) order. An object covering p
-// lies in p's query-width column or the one to its left, so its cell copies
-// sit in row(p) of columns col(p)-1..col(p)+1; a sharded engine keeps only
-// its owned columns of that span (the copy of a left-column object can live
-// in the right neighbour's cell), so all three cells are scanned and objects
-// appearing in two of them are deduped by id. The scratch is reused per
+// lies in p's query-width column or the one to its left, so the cells
+// holding it include row(p) of columns col(p)-1..col(p)+1; a sharded engine
+// keeps only its owned columns of that span (a left-column object can be
+// held by the right neighbour's cell), so all three cells are scanned and
+// objects appearing in two of them are deduped. The scratch is reused per
 // call.
-func (e *KCCS) covering(p geom.Point) []kobj {
+func (e *KCCS) covering(p geom.Point) []uint32 {
 	e.covScratch = e.covScratch[:0]
+	ring, mask := e.ring, uint32(len(e.ring)-1)
 	pc := e.grid.CellOf(p.X, p.Y)
 	if e.cfg.Cols == nil {
 		// Single engine: every covering object's coverage touches p's own
-		// column, so the cell of p holds a copy of each — one scan, no
-		// dedupe.
+		// column, so the cell of p holds each — one scan, no dedupe.
 		if c := e.cells[pc.Pack()]; c != nil {
-			live := c.objs[c.head:]
-			for j := range live {
-				g := &live[j]
-				if e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
-					e.covScratch = append(e.covScratch, *g)
+			for _, s := range c.objs[c.head:] {
+				if g := &ring[s&mask]; e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
+					e.covScratch = append(e.covScratch, s)
 				}
 			}
 		}
 		return e.covScratch
 	}
-	// Each cell's objects are id-sorted, so the per-cell match runs are
-	// sorted subsequences: merge the (at most 3) runs by id instead of
-	// sorting the union, dropping the duplicate copies, so every covering
-	// object is reported once, in arrival (= id) order.
+	// Each cell's seqs ascend, so the per-cell match runs are sorted
+	// subsequences: merge the (at most 3) runs by seq instead of sorting the
+	// union, dropping the duplicates, so every covering object is reported
+	// once, in arrival order.
 	var bounds [4]int
 	runs := 0
 	for di := -1; di <= 1; di++ {
@@ -812,11 +968,9 @@ func (e *KCCS) covering(p geom.Point) []kobj {
 		if c == nil {
 			continue
 		}
-		live := c.objs[c.head:]
-		for j := range live {
-			g := &live[j]
-			if e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
-				e.covScratch = append(e.covScratch, *g)
+		for _, s := range c.objs[c.head:] {
+			if g := &ring[s&mask]; e.cfg.CoverRect(g.x, g.y).CoversOC(p) {
+				e.covScratch = append(e.covScratch, s)
 			}
 		}
 		if len(e.covScratch) > bounds[runs] {
@@ -835,17 +989,17 @@ func (e *KCCS) covering(p geom.Point) []kobj {
 	for {
 		best := -1
 		for r := 0; r < runs; r++ {
-			if at[r] < bounds[r+1] && (best < 0 || e.covScratch[at[r]].id < e.covScratch[at[best]].id) {
+			if at[r] < bounds[r+1] && (best < 0 || e.covScratch[at[r]]-e.rhead < e.covScratch[at[best]]-e.rhead) {
 				best = r
 			}
 		}
 		if best < 0 {
 			break
 		}
-		g := e.covScratch[at[best]]
+		s := e.covScratch[at[best]]
 		at[best]++
-		if n := len(e.covMerge); n == 0 || e.covMerge[n-1].id != g.id {
-			e.covMerge = append(e.covMerge, g)
+		if n := len(e.covMerge); n == 0 || e.covMerge[n-1] != s {
+			e.covMerge = append(e.covMerge, s)
 		}
 	}
 	e.covScratch, e.covMerge = e.covMerge, e.covScratch
@@ -866,33 +1020,25 @@ func containsID(ids []uint64, id uint64) bool {
 	return lo < len(ids) && ids[lo] == id
 }
 
-// setLevel moves o (a copy carrying its current level) to lvl, translating
-// the visibility change into add/remove operations on the intermediate
-// problems in every cell holding the object. A touched cell is split first:
-// its problems no longer see identical content. Level changes splice
-// interior arrival positions, so a covered candidate that survives one is
-// rescored canonically rather than updated incrementally.
-func (e *KCCS) setLevel(o kobj, lvl int) {
+// setLevel moves live seq s to lvl, translating the visibility change into
+// add/remove operations on the intermediate problems in every cell holding
+// the object. The level is the record's, written once. A touched cell is
+// split first: its problems no longer see identical content. Level changes
+// splice interior arrival positions, so a covered candidate that survives
+// one is rescored canonically rather than updated incrementally.
+func (e *KCCS) setLevel(s uint32, lvl int) {
+	o := e.rec(s)
 	old := int(o.lvl)
 	if old == lvl {
 		return
 	}
+	o.lvl = int32(lvl)
 	dc := o.wt / e.cfg.WC
 	dp := o.wt / e.cfg.WP
 	cover := e.cfg.CoverRect(o.x, o.y)
-	e.cellScratch = e.grid.CoverCells(e.cellScratch[:0], o.x, o.y, e.cfg.Width, e.cfg.Height)
-	for _, ck := range e.cellScratch {
-		c := e.cells[ck.Pack()]
-		if c == nil {
-			continue
-		}
-		j, ok := c.lookup(o.id)
-		if !ok {
-			continue
-		}
+	for _, c := range e.cellsOf(o) {
 		e.stats.CellsTouched++
 		e.ensureSplit(c)
-		c.objs[j].lvl = int32(lvl)
 		switch {
 		case old == e.k && lvl < e.k:
 			c.leveled++
@@ -1104,9 +1250,9 @@ func (e *KCCS) searchCellShared(c *kcell) {
 	e.entryScratch = e.entryScratch[:0]
 	us := 0.0
 	cur := 0
-	live := c.objs[c.head:]
-	for j := range live {
-		g := &live[j]
+	ring, mask := e.ring, uint32(len(e.ring)-1)
+	for _, s := range c.objs[c.head:] {
+		g := &ring[s&mask]
 		e.entryScratch = append(e.entryScratch, sweep.Entry{X: g.x, Y: g.y, Weight: g.wt, Past: g.past})
 		if !g.past {
 			us += g.wt / e.cfg.WC
@@ -1135,9 +1281,9 @@ func (e *KCCS) searchCell(c *kcell, i int) {
 	e.entryScratch = e.entryScratch[:0]
 	us := 0.0
 	cur := 0
-	live := c.objs[c.head:]
-	for j := range live {
-		g := &live[j]
+	ring, mask := e.ring, uint32(len(e.ring)-1)
+	for _, s := range c.objs[c.head:] {
+		g := &ring[s&mask]
 		if int(g.lvl) < i {
 			continue
 		}

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -11,29 +12,43 @@ import (
 	"surge/internal/window"
 )
 
-// census returns the engine's live cell entries and the entry capacity it
-// retains, counting the recycled cells of the free list too.
-func census(e *KCCS) (live, capacity int) {
+const (
+	entrySize  = int(unsafe.Sizeof(uint32(0)))
+	recordSize = int(unsafe.Sizeof(kobj{}))
+)
+
+// census returns the bytes of the engine's live cell entries and records,
+// and the bytes of entry and ring capacity it retains, counting the
+// recycled cells of the free list too.
+func census(e *KCCS) (live, retained int) {
 	for _, c := range e.cells {
-		live += c.live()
-		capacity += cap(c.objs)
+		live += c.live() * entrySize
+		retained += cap(c.objs) * entrySize
 	}
 	for _, c := range e.free {
-		capacity += cap(c.objs)
+		retained += cap(c.objs) * entrySize
 	}
-	return live, capacity
+	live += int(e.rtail-e.rhead) * recordSize
+	retained += len(e.ring) * recordSize
+	return live, retained
 }
 
 // liveIDs returns the ids of the cell's live entries.
-func liveIDs(c *kcell) []uint64 {
+func liveIDs(e *KCCS, c *kcell) []uint64 {
 	ids := make([]uint64, 0, c.live())
-	for _, g := range c.objs[c.head:] {
-		ids = append(ids, g.id)
+	for _, s := range c.objs[c.head:] {
+		ids = append(ids, e.rec(s).id)
 	}
 	return ids
 }
 
-// checkFIFO asserts that every cell is a non-empty arrival-ordered FIFO.
+// holds reports whether the cell holds the object with the given id.
+func holds(e *KCCS, c *kcell, id uint64) bool {
+	return slices.Contains(liveIDs(e, c), id)
+}
+
+// checkFIFO asserts that every cell is a non-empty arrival-ordered FIFO of
+// live records.
 func checkFIFO(t *testing.T, e *KCCS, step int) {
 	t.Helper()
 	for _, c := range e.cells {
@@ -41,10 +56,53 @@ func checkFIFO(t *testing.T, e *KCCS, step int) {
 			t.Fatalf("event %d: cell %v has head %d of %d entries", step, c.key, c.head, len(c.objs))
 		}
 		live := c.objs[c.head:]
-		for j := 1; j < len(live); j++ {
-			if live[j].id <= live[j-1].id {
-				t.Fatalf("event %d: cell %v live ids not ascending at %d: %d after %d", step, c.key, j, live[j].id, live[j-1].id)
+		for j, s := range live {
+			if s-e.rhead >= e.rtail-e.rhead || e.rec(s).dead {
+				t.Fatalf("event %d: cell %v holds seq %d outside the live ring [%d, %d)", step, c.key, s, e.rhead, e.rtail)
 			}
+			if j > 0 && e.rec(s).id <= e.rec(live[j-1]).id {
+				t.Fatalf("event %d: cell %v live ids not ascending at %d: %d after %d", step, c.key, j, e.rec(s).id, e.rec(live[j-1]).id)
+			}
+		}
+	}
+}
+
+// checkRing asserts the ring invariants: it holds exactly the accepted,
+// unexpired objects (want, in arrival order), ids ascending; every record
+// with cached cells is in each of them and they are the map's cells; the
+// Grown cursor lies within the live range with only grown records before
+// it; and every slot outside the live range is zero.
+func checkRing(t *testing.T, e *KCCS, want []uint64, step int) {
+	t.Helper()
+	n := e.rtail - e.rhead
+	if int(n) > len(e.ring) || e.rgrow-e.rhead > n {
+		t.Fatalf("event %d: cursors head %d grow %d tail %d over a ring of %d", step, e.rhead, e.rgrow, e.rtail, len(e.ring))
+	}
+	var got []uint64
+	for s := e.rhead; s != e.rtail; s++ {
+		r := e.rec(s)
+		if r.dead {
+			continue
+		}
+		if s-e.rhead < e.rgrow-e.rhead && !r.past {
+			t.Fatalf("event %d: seq %d (id %d) is before the Grown cursor %d but not past", step, s, r.id, e.rgrow)
+		}
+		got = append(got, r.id)
+		for _, c := range r.cells[:r.nc] {
+			if e.cells[c.key.Pack()] != c {
+				t.Fatalf("event %d: id %d caches cell %v, which is not live", step, r.id, c.key)
+			}
+			if _, ok := e.indexIn(c, s); !ok {
+				t.Fatalf("event %d: id %d caches cell %v, which does not hold it", step, r.id, c.key)
+			}
+		}
+	}
+	if !slices.Equal(got, want) || !slices.IsSorted(got) {
+		t.Fatalf("event %d: ring holds ids %v, want %v", step, got, want)
+	}
+	for s := e.rtail; s != e.rhead+uint32(len(e.ring)); s++ {
+		if *e.rec(s) != (kobj{}) {
+			t.Fatalf("event %d: popped slot of seq %d is not zero: %+v", step, s, *e.rec(s))
 		}
 	}
 }
@@ -120,23 +178,32 @@ func TestCellStorageIsFIFO(t *testing.T) {
 			}
 			rng := rand.New(rand.NewPCG(tc.seed, 77))
 			committed := make([]core.Result, tc.k+1) // the one-shard chain's ranks, 1-based
+			var accepted []uint64                    // ids the ring must hold, in arrival order
 			step := 0
 			apply := func(ev core.Event) {
 				step++
+				o := ev.Obj
 				var held map[*kcell][]uint64
-				if ev.Kind == core.Expired {
+				switch ev.Kind {
+				case core.New:
+					if cfg.InArea(o) && len(e.grid.CoverCellsOwned(nil, o.X, o.Y, cfg.Width, cfg.Height, cfg.Cols)) > 0 {
+						accepted = append(accepted, o.ID)
+					}
+				case core.Expired:
+					accepted = slices.DeleteFunc(accepted, func(id uint64) bool { return id == o.ID })
 					held = map[*kcell][]uint64{}
 					for _, c := range e.cells {
-						if _, ok := c.lookup(ev.Obj.ID); ok {
-							if c.objs[c.head].id != ev.Obj.ID {
-								t.Fatalf("event %d: expiring %d but cell %v's oldest entry is %d", step, ev.Obj.ID, c.key, c.objs[c.head].id)
+						if holds(e, c, o.ID) {
+							if oldest := e.rec(c.objs[c.head]).id; oldest != o.ID {
+								t.Fatalf("event %d: expiring %d but cell %v's oldest entry is %d", step, o.ID, c.key, oldest)
 							}
-							held[c] = liveIDs(c)
+							held[c] = liveIDs(e, c)
 						}
 					}
 				}
 				e.Process(ev)
 				checkFIFO(t, e, step)
+				checkRing(t, e, accepted, step)
 				for c, before := range held {
 					if e.cells[c.key.Pack()] != c {
 						if len(before) != 1 {
@@ -144,7 +211,7 @@ func TestCellStorageIsFIFO(t *testing.T) {
 						}
 						continue
 					}
-					if after := liveIDs(c); !slices.Equal(after, before[1:]) {
+					if after := liveIDs(e, c); !slices.Equal(after, before[1:]) {
 						t.Fatalf("event %d: expiring %d turned cell %v's ids %v into %v", step, ev.Obj.ID, c.key, before, after)
 					}
 				}
@@ -176,9 +243,11 @@ func TestCellStorageIsFIFO(t *testing.T) {
 
 // TestCellStorageStaysCompact runs a long steady stream with a hotspot and
 // a sparse background, querying once per 512-object batch as the server
-// does, and bounds the entry capacity the engine retains by three times its
-// live entries: append doubling alone can leave twice the live entries, and
-// the rest is room for cells whose arrays grew when they held more.
+// does, and bounds the bytes of entry and ring capacity the engine retains
+// by three times the bytes of its live entries and records: append doubling
+// alone can leave twice the live entries and ring doubling twice the live
+// records, and the rest is room for cells whose arrays grew when they held
+// more.
 func TestCellStorageStaysCompact(t *testing.T) {
 	const (
 		batch = 512
@@ -212,19 +281,92 @@ func TestCellStorageStaysCompact(t *testing.T) {
 			continue // windows still filling
 		}
 		if n, c := census(e); c > 3*n {
-			t.Fatalf("batch %d: %d entries of capacity retained for %d live entries (%.2fx)", b, c, n, float64(c)/float64(n))
+			t.Fatalf("batch %d: %d bytes of capacity retained for %d live bytes (%.2fx)", b, c, n, float64(c)/float64(n))
 		}
 	}
 }
 
-// TestEntrySizes pins the layout the memory budget is built on: a 40-byte
-// entry, and a cell that fits the 144-byte size class because the
-// per-problem state of split cells lives behind a pointer.
+// TestEntrySizes pins the layout the memory budget is built on: a 4-byte
+// cell entry, a record of at most 72 bytes per live object, and a cell that
+// fits the 144-byte size class because the per-problem state of split cells
+// lives behind a pointer.
 func TestEntrySizes(t *testing.T) {
-	if s := unsafe.Sizeof(kobj{}); s != 40 {
-		t.Errorf("kobj is %d bytes, want 40", s)
+	if entrySize != 4 {
+		t.Errorf("a cell entry is %d bytes, want 4", entrySize)
+	}
+	if recordSize > 72 {
+		t.Errorf("kobj is %d bytes, want <= 72", recordSize)
 	}
 	if s := unsafe.Sizeof(kcell{}); s > 144 {
 		t.Errorf("kcell is %d bytes, want <= 144", s)
+	}
+}
+
+// TestRingWraparound starts engines' sequence numbers just below the uint32
+// wrap and drives a stream across it, with an Area and a column ownership
+// mask: their answers and Stats must be bitwise those of an engine whose
+// ring starts at 0. The later start also doubles the ring after the wrap.
+func TestRingWraparound(t *testing.T) {
+	area := geom.Rect{MinX: -2, MinY: -3, MaxX: 7, MaxY: 6}
+	starts := []uint32{1<<32 - 1000, 1<<32 - 100}
+	for _, cols := range []*core.ColumnSet{nil, {Block: 2, Shards: 2, Index: 0}} {
+		cfg := core.Config{Width: 1, Height: 1, WC: 30, WP: 20, Alpha: 0.5, Area: &area, Cols: cols}
+		const k = 4
+		zero, err := NewKCCS(cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wraps []*KCCS
+		for _, s := range starts {
+			e, _ := NewKCCS(cfg, k)
+			e.rhead, e.rtail, e.rgrow = s, s, s
+			wraps = append(wraps, e)
+		}
+		win, err := window.New(cfg.WC, cfg.WP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(21, 22))
+		step, peak := 0, 0
+		apply := func(ev core.Event) {
+			step++
+			zero.Process(ev)
+			peak = max(peak, int(zero.rtail-zero.rhead))
+			for _, e := range wraps {
+				e.Process(ev)
+			}
+			if rng.IntN(8) != 0 {
+				return
+			}
+			a := zero.BestK()
+			for w, e := range wraps {
+				b := e.BestK()
+				for i := range a {
+					if a[i].Found != b[i].Found || a[i].Point != b[i].Point ||
+						math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) ||
+						math.Float64bits(a[i].FC) != math.Float64bits(b[i].FC) ||
+						math.Float64bits(a[i].FP) != math.Float64bits(b[i].FP) {
+						t.Fatalf("cols %v start %d event %d rank %d: from 0 %+v, across the wrap %+v", cols, starts[w], step, i, a[i], b[i])
+					}
+				}
+			}
+		}
+		for _, o := range storageStream(rng, 3000, 0.1) {
+			if _, err := win.Push(o, apply); err != nil {
+				t.Fatal(err)
+			}
+		}
+		win.Drain(apply)
+		if peak <= minRing {
+			t.Fatalf("cols %v: at most %d live records never doubled the ring", cols, peak)
+		}
+		for w, e := range wraps {
+			if e.rtail > starts[w] {
+				t.Fatalf("cols %v start %d: the stream did not cross the wrap (tail %d)", cols, starts[w], e.rtail)
+			}
+			if zero.Stats() != e.Stats() {
+				t.Fatalf("cols %v start %d: Stats from 0 %+v, across the wrap %+v", cols, starts[w], zero.Stats(), e.Stats())
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"surge/internal/core"
 	"surge/internal/geom"
+	"surge/internal/grid"
 	"surge/internal/topk"
 	"surge/internal/window"
 )
@@ -155,6 +156,168 @@ func TestKCCSMatchesNaive(t *testing.T) {
 			step++
 		})
 	}
+}
+
+// edgeW is a query size whose multiples lie where floating-point grid floors
+// misbehave: an anchor one ulp below edgeW floors into column 0 while its
+// far edge rounds up to 2·edgeW, so the object covers three columns (and,
+// snapped on both axes, nine cells) instead of Lemma 1's two.
+const edgeW = 8.80643122741617
+
+// snapCoord returns the coordinate n·edgeW moved by mode: one ulp down,
+// exact, one ulp up, or into the cell by frac of its size. Callers keep n
+// away from 0, whose ulp neighbours are denormals: x/edgeW underflows to
+// ±0 there and floors into the wrong cell, a separate limitation.
+func snapCoord(n int, mode byte, frac float64) float64 {
+	v := float64(n) * edgeW
+	switch mode % 4 {
+	case 0:
+		return math.Nextafter(v, math.Inf(-1))
+	case 1:
+		return v
+	case 2:
+		return math.Nextafter(v, math.Inf(1))
+	}
+	return v + frac*edgeW
+}
+
+// score is a result's score, with a non-positive or missing one read as 0.
+func score(r core.Result) float64 {
+	if !r.Found || r.Score <= 0 {
+		return 0
+	}
+	return r.Score
+}
+
+// checkEdgeStream drives objs through three kCCS engines. After every
+// event each rank of the engine queried per event must be within almost of
+// Naive's optimum for that chain problem given the engine's own higher ranks
+// (greedy top-k is ambiguous under score ties, so the oracle follows the
+// engine's picks instead of making its own), and so must each rank of a
+// one-shard chain of ProblemBest and ApplyRank, against an oracle following
+// the chain. Every `every` events an engine queried only then must report
+// the per-event engine's scores bitwise, rank by rank, down to the first
+// rank where the two picked different points of equal score: regions are
+// canonical only up to such ties (see TestKCCSScheduleIndependence), and
+// the ranks below a tie exclude different objects.
+func checkEdgeStream(t *testing.T, cfg core.Config, k int, objs []core.Object, every int) {
+	t.Helper()
+	eager, err := topk.NewKCCS(cfg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, _ := topk.NewKCCS(cfg, k)
+	chain, _ := topk.NewKCCS(cfg, k)
+	oracle, _ := topk.NewNaive(cfg, k)
+	chainOracle, _ := topk.NewNaive(cfg, k)
+	committed := make([]core.Result, k+1) // the chain's ranks, 1-based
+	step := 0
+	drive(t, cfg.WC, cfg.WP, objs, func(ev core.Event) {
+		step++
+		for _, e := range []core.TopKEngine{eager, lazy, chain, oracle, chainOracle} {
+			e.Process(ev)
+		}
+		a := eager.BestK()
+		for i := 1; i <= k; i++ {
+			want := oracle.ProblemBest(i)
+			oracle.ApplyRank(i, core.Result{}, a[i-1])
+			if !almost(score(a[i-1]), score(want)) {
+				t.Fatalf("event %d rank %d: kCCS=%v naive=%v", step, i-1, score(a[i-1]), score(want))
+			}
+			r := chain.ProblemBest(i)
+			chain.ApplyRank(i, committed[i], r)
+			committed[i] = r
+			want = chainOracle.ProblemBest(i)
+			chainOracle.ApplyRank(i, core.Result{}, r)
+			if !almost(score(r), score(want)) {
+				t.Fatalf("event %d rank %d: chain=%v naive=%v", step, i-1, score(r), score(want))
+			}
+		}
+		if step%every != 0 {
+			return
+		}
+		for i, l := range lazy.BestK() {
+			if l.Found != a[i].Found || math.Float64bits(l.Score) != math.Float64bits(a[i].Score) {
+				t.Fatalf("event %d rank %d: per-event %+v != every %d events %+v", step, i, a[i], every, l)
+			}
+			if l.Point != a[i].Point {
+				break
+			}
+		}
+	})
+}
+
+// TestKCCSFloatBoundary runs anchors snapped to the grid lines of edgeW, so
+// some objects cover six or nine cells (more than the engine caches per
+// object), with timestamp ties, through checkEdgeStream. Such streams leave
+// cells whose current objects cover none of their points; the check fails
+// if expiring past weight loosens such a cell's exact zero bound, which
+// lets it top the heap and hide every other cell from the search.
+func TestKCCSFloatBoundary(t *testing.T) {
+	cfg := core.Config{Width: edgeW, Height: edgeW, WC: 40, WP: 40, Alpha: 0.5}
+	g := grid.Aligned(edgeW, edgeW)
+	rng := rand.New(rand.NewPCG(1, 32))
+	objs := make([]core.Object, 800)
+	cells := map[int]int{}
+	tm := 0.0
+	for i := range objs {
+		if rng.IntN(3) != 0 {
+			tm += rng.ExpFloat64() * 0.6
+		}
+		o := core.Object{
+			X:      snapCoord(1+rng.IntN(4), byte(rng.IntN(4)), rng.Float64()),
+			Y:      snapCoord(1+rng.IntN(4), byte(rng.IntN(4)), rng.Float64()),
+			Weight: 1 + rng.Float64()*7,
+			T:      tm,
+		}
+		if i == 0 { // the anchor that covers nine cells
+			o.X, o.Y = 8.806431227416168, 8.806431227416168
+		}
+		objs[i] = o
+		cells[len(g.CoverCells(nil, o.X, o.Y, edgeW, edgeW))]++
+	}
+	if cells[6] == 0 || cells[9] == 0 {
+		t.Fatalf("stream has no six- or nine-cell objects: %v", cells)
+	}
+	for _, k := range []int{1, 3} {
+		checkEdgeStream(t, cfg, k, objs, 512)
+	}
+}
+
+// FuzzKCCS decodes bytes into a stream of at most 48 grid-line anchors (see
+// snapCoord) with timestamp ties and varied weights, and checks it as
+// TestKCCSFloatBoundary does. The first two bytes pick k and the lazy query
+// period; each object then takes four: the x and y snaps (the low two bits
+// the mode, the next three the grid line, the rest the interior offset), a
+// time step (0 = a tie) and a weight. Grid lines run from -4 to 4, skipping
+// 0 (see snapCoord). Each weight carries a fixed per-object jitter, so two
+// regions never score equal from distinct object sets: the bitwise schedule
+// property holds for the canonical folds, not for different sums that are
+// equal in exact arithmetic.
+func FuzzKCCS(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k, every := 1+int(data[0]%4), 1+int(data[1]%16)
+		cfg := core.Config{Width: edgeW, Height: edgeW, WC: 3, WP: 3, Alpha: 0.5}
+		coord := func(b byte) float64 {
+			n := int(b>>2&7) - 4
+			if n >= 0 {
+				n++
+			}
+			return snapCoord(n, b, float64(b>>5)/8)
+		}
+		jitter := rand.New(rand.NewPCG(1, 2))
+		var objs []core.Object
+		tm := 0.0
+		for data = data[2:]; len(data) >= 4 && len(objs) < 48; data = data[4:] {
+			tm += float64(data[2]%8) / 4
+			w := 1 + float64(data[3]%32)/4 + jitter.Float64()/64
+			objs = append(objs, core.Object{X: coord(data[0]), Y: coord(data[1]), Weight: w, T: tm})
+		}
+		checkEdgeStream(t, cfg, k, objs, every)
+	})
 }
 
 // TestKCCSAsymmetricWindows exercises the level machinery with WC != WP and
