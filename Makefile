@@ -24,7 +24,7 @@ test:
 	$(GO) test ./...
 
 bench-compile:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/gapsurge ./internal/window ./internal/cellcspot ./internal/topk ./internal/sweep
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/gapsurge ./internal/window ./internal/cellcspot ./internal/topk ./internal/sweep
 
 race:
 	$(GO) test -race ./...

@@ -132,6 +132,9 @@ func (d *Detector) Checkpoint() ([]byte, error) { return d.AppendCheckpoint(nil)
 // allocating a fresh snapshot every time; the detector's internal object
 // scratch is reused across calls too.
 func (d *Detector) AppendCheckpoint(dst []byte) ([]byte, error) {
+	if d.served != nil {
+		return d.served.AppendCheckpoint(dst)
+	}
 	d.ckptObjs = buildCheckpointObjects(d.ckptObjs, d.win)
 	return appendEnvelope(dst, d.alg, d.win.Now(), d.cfg, d.counted, checkpointOptions{
 		AG2Gamma:       d.ag2Gamma,
@@ -140,18 +143,14 @@ func (d *Detector) AppendCheckpoint(dst []byte) ([]byte, error) {
 	}, d.ckptObjs)
 }
 
-// Checkpoint serialises a standalone top-k detector's logical state in the
-// same engine-independent format as Detector.Checkpoint, so RestoreTopK
-// (or Restore) resumes it. An attached top-k detector delegates to its
-// parent — their logical state is the same live window content.
+// Checkpoint serialises a top-k detector's logical state in the same
+// engine-independent format as Detector.Checkpoint, so RestoreTopK (or
+// Restore) resumes it.
 func (d *TopKDetector) Checkpoint() ([]byte, error) { return d.AppendCheckpoint(nil) }
 
 // AppendCheckpoint appends the checkpoint to dst; see
 // Detector.AppendCheckpoint.
 func (d *TopKDetector) AppendCheckpoint(dst []byte) ([]byte, error) {
-	if d.parent != nil {
-		return d.parent.AppendCheckpoint(dst)
-	}
 	d.ckptObjs = buildCheckpointObjects(d.ckptObjs, d.win)
 	// Top-k detection has no aG2 variant, so AG2Gamma stays zero.
 	return appendEnvelope(dst, d.alg, d.win.Now(), d.cfg, d.counted, checkpointOptions{
@@ -191,15 +190,6 @@ func Restore(alg Algorithm, data []byte) (*Detector, error) {
 // checkpoint written at any shard count restores into any other with
 // identical scores.
 func RestoreSharded(alg Algorithm, data []byte, shards, blockCols int) (*Detector, error) {
-	return RestoreShardedTuned(alg, data, shards, blockCols, 0)
-}
-
-// RestoreShardedTuned is RestoreSharded with the shard router's flush size
-// (Options.ShardFlushEvents) re-applied. Flush sizing is runtime tuning,
-// not logical state, so checkpoints never record it — a caller that pinned
-// a fixed flush must pass it again on restore (0 selects the
-// backlog-adaptive default).
-func RestoreShardedTuned(alg Algorithm, data []byte, shards, blockCols, flushEvents int) (*Detector, error) {
 	env, opt, err := decodeCheckpoint(data)
 	if err != nil {
 		return nil, err
@@ -210,7 +200,6 @@ func RestoreShardedTuned(alg Algorithm, data []byte, shards, blockCols, flushEve
 	if blockCols != KeepShards {
 		opt.ShardBlockCols = blockCols
 	}
-	opt.ShardFlushEvents = flushEvents
 	d, err := New(alg, opt)
 	if err != nil {
 		return nil, err
@@ -220,6 +209,12 @@ func RestoreShardedTuned(alg Algorithm, data []byte, shards, blockCols, flushEve
 		return nil, err
 	}
 	return d, nil
+}
+
+// RestoreShardedTuned is RestoreSharded; flushEvents is ignored. For
+// benchmark/ until its next revision.
+func RestoreShardedTuned(alg Algorithm, data []byte, shards, blockCols, flushEvents int) (*Detector, error) {
+	return RestoreSharded(alg, data, shards, blockCols)
 }
 
 // RestoreTopK rebuilds a top-k detector from a checkpoint written by a

@@ -261,7 +261,6 @@ type StatsSnapshot struct {
 	SSEDelivery   HistogramStats `json:"sse_delivery"`
 	SSEBuffer     HistogramStats `json:"sse_buffer_occupancy"` // frames buffered per subscriber
 	ShardFlush    HistogramStats `json:"shard_flush_events"`   // events per shipped shard batch
-	ShardBarrier  HistogramStats `json:"shard_barrier_wait"`
 	TopKResolve   HistogramStats `json:"topk_resolve"`
 	TopKSolveWait HistogramStats `json:"topk_solve_wait"`
 	TopKShards    HistogramStats `json:"topk_resolved_shards"` // shard solves per resolve

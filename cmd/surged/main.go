@@ -18,9 +18,8 @@
 // goroutines over a spatial column partitioning; 0 = one per CPU) and -batch M
 // ingests M objects per detector synchronisation (-batch auto picks 1
 // single-engine, 512 sharded). Inside the pipeline the router sizes its
-// per-shard event batches by observed backlog; -flush N pins that size
-// instead. A summary with the shard count and merged engine statistics is
-// reported on exit.
+// per-shard event batches by observed backlog. A summary with the shard
+// count and merged engine statistics is reported on exit.
 //
 // With the serve subcommand, surged instead runs as a long-lived HTTP
 // service (see surge/internal/server and the surge/client package):
@@ -66,7 +65,6 @@ func main() {
 		demo   = flag.Bool("demo", false, "run on a generated demo stream with a planted burst")
 		shards = flag.Int("shards", 1, "engine shards: 1 = single engine, 0 = one per CPU")
 		batch  = flag.String("batch", "auto", "objects ingested per detector sync: a number, or auto (1 single-engine, 512 sharded)")
-		flush  = flag.Int("flush", 0, "sharded router flush size in events per shard (0 = adapt to shard backlog)")
 	)
 	flag.Parse()
 
@@ -85,13 +83,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *flush < 0 {
-		fatal(fmt.Errorf("invalid -flush %d", *flush))
-	}
 	opt := surge.Options{
 		Width: *width, Height: *height,
 		Window: *win, PastWindow: *pastW, Alpha: *alpha,
-		Shards: nShards, ShardFlushEvents: *flush,
+		Shards: nShards,
 	}
 
 	var src io.Reader

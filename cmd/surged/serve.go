@@ -80,7 +80,6 @@ func runServe(args []string) error {
 		subBuf  = fs.Int("sub-buffer", 64, "per-subscriber notification buffer before oldest-first drops")
 		ckptOut = fs.String("checkpoint", "", "write a checkpoint to this file on shutdown")
 		ckptIn  = fs.String("restore", "", "seed the detector from this checkpoint file at boot")
-		flush   = fs.Int("flush", 0, "sharded router flush size in events per shard (0 = adapt to shard backlog)")
 		pprofOn = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling; leave off unless the listener is access-controlled)")
 		logFmt  = fs.String("log-format", "text", "structured log format on stderr: text or json")
 
@@ -119,9 +118,6 @@ func runServe(args []string) error {
 	if nShards < 1 {
 		return fmt.Errorf("invalid -shards %d", *shards)
 	}
-	if *flush < 0 {
-		return fmt.Errorf("invalid -flush %d", *flush)
-	}
 	if *topk < 1 {
 		return fmt.Errorf("invalid -topk %d (want >= 1: every query is served from its maintained top-k chain)", *topk)
 	}
@@ -142,7 +138,7 @@ func runServe(args []string) error {
 		Options: surge.Options{
 			Width: *width, Height: *height,
 			Window: *win, PastWindow: *pastW, Alpha: *alpha,
-			Shards: nShards, ShardBlockCols: *blkCols, ShardFlushEvents: *flush,
+			Shards: nShards, ShardBlockCols: *blkCols,
 		},
 		TopK:                *topk,
 		NotifyRing:          *ring,

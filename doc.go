@@ -91,9 +91,8 @@
 // are applied one by one, but the lazy engines defer their snapshot searches
 // to a single query at the end of the batch.
 //
-// The top-k detectors shard the same way (NewTopK with Options.Shards, or
-// AttachTopK on a sharded parent, whose engines then ride the parent's shard
-// workers): every shard maintains the greedy chain's candidate state —
+// The top-k detector shards the same way (NewTopK with Options.Shards; its
+// shard workers run the chain's engines only): every shard maintains the greedy chain's candidate state —
 // bounds, candidates and visibility levels per problem — for its owned
 // columns plus the halo, and each query runs the chain globally. Rank by
 // rank, the coordinator collects every shard's best owned candidate for the
@@ -158,20 +157,17 @@
 //     map. The cell index is the only hash map an event touches.
 //   - The window engine's two FIFO queues are the live set: every live
 //     object sits in exactly one of them (still in Wc, or already in Wp), in
-//     arrival order. Checkpoint and AttachTopK walk the queues
-//     (window.Source.Each), so the detectors keep no index of their own
-//     beside the windows and a checkpoint needs no sort.
+//     arrival order. Checkpoint walks the queues (window.Source.Each), so
+//     the detectors keep no index of their own beside the windows and a
+//     checkpoint needs no sort.
 //   - The shard router recycles its event batches through a sync.Pool —
 //     shard workers hand slices back after applying them — and sizes each
-//     flush by the receiving shard's backlog: Options.ShardFlushEvents = 0
-//     (the default) starts at small batches while a shard's channel is
-//     empty (low detection latency) and doubles the batch up to the
-//     maximum as the channel fills (fewer synchronisations exactly when
-//     they are most contended). A fixed size can be pinned with
-//     Options.ShardFlushEvents or `surged -flush N`; batch sizing never
-//     changes which events a shard sees or their order, so answers are
-//     identical under every setting. `surged -batch auto` picks the
-//     PushBatch chunking (1 single-engine, 512 sharded).
+//     flush by the receiving shard's backlog: small batches while a shard's
+//     channel is empty (low detection latency), doubling up to the maximum
+//     as the channel fills (fewer synchronisations exactly when they are
+//     most contended). Batch sizing never changes which events a shard sees
+//     or their order, so it cannot change an answer. `surged -batch auto`
+//     picks the PushBatch chunking (1 single-engine, 512 sharded).
 //   - The server decodes NDJSON/CSV ingest bodies with a zero-copy field
 //     scanner over the request buffer (exotic lines fall back to
 //     encoding/json, so accepted inputs are unchanged) and recycles the
@@ -232,8 +228,8 @@
 // stderr (library embedders wire server.Config.Logger).
 //
 // Served algorithms: CCS, B-CCS, Base, GAPS and MGAPS — the ones whose
-// answer is bitwise rank 1 of a maintained chain (kCCS for the exact family,
-// kGAPS and kMGAPS for the grid approximations). aG2 and Oracle have no such
+// score is bitwise that of rank 1 of a maintained chain (kCCS for the exact
+// family, kGAPS and kMGAPS for the grid approximations). aG2 and Oracle have no such
 // chain; surged serve -algo, server.New and POST /v1/queries reject them, and
 // they remain library (surge.New) and surgebench baselines.
 //
@@ -259,7 +255,7 @@
 // the client (client.Subscription.Cursor / SubscribeFromCursor / Resynced
 // round-trip this without the caller parsing ids). On SIGTERM the server
 // checkpoints before the listener drains, and a later "surged serve
-// -restore" resumes the stream, into any shard count (RestoreSharded).
+// -restore" resumes the stream, into any shard count (RestoreTopKSharded).
 //
 // # Multi-tenancy
 //
@@ -416,12 +412,12 @@
 //
 // # Continuous top-k serving
 //
-// A served query is one detector plus one maintained top-k chain
-// (Detector.AttachTopKBest), and the chain is the query's only engine. It
-// is refreshed after every applied batch and published as an immutable
+// A served query is one standalone maintained top-k chain (NewTopK, or
+// RestoreTopKSharded in a single replay of a checkpoint), and the chain is
+// the query's only engine. It is refreshed after every applied batch and published as an immutable
 // snapshot that GET /v1/topk serves with one atomic load — O(1) per query
 // regardless of stream size, with no garbage and no loop round-trip. On a
-// sharded server the maintained engines ride the shard workers — per-event
+// sharded server the chain's engines run on the shard workers — per-event
 // maintenance is distributed exactly like detection (each (event, cell)
 // pair is processed by exactly one shard, so sharding adds no duplicated
 // maintenance work), off the event-loop thread, and the per-batch refresh
@@ -431,15 +427,17 @@
 // greedy chain being prefix-stable; a larger k is rejected with a 400 that
 // names the maintained k.
 //
-// Rank 1 of the greedy chain over the unconstrained plane is exactly the
-// single-region answer (the first problem of the chain is the single-region
-// problem), so /v1/best and the "burst" SSE stream are served from the
-// maintained snapshot's rank 1 and the single-region engines are dropped at
-// attach rather than run in parallel. Equal-score selections follow one
-// canonical order (core.CompareTopK: score, then region coordinates) across
-// every engine family and the coordinator, which is what keeps the
-// chain-served answer bitwise equal to what the single-region engine of the
-// same algorithm reports.
+// Rank 1 of the greedy chain over the unconstrained plane solves the
+// single-region problem (the first problem of the chain is the
+// single-region problem), so /v1/best and the "burst" SSE stream are served
+// from the maintained snapshot's rank 1 and no single-region engine runs.
+// The chain-served score is bitwise the score the single-region engine of
+// the same algorithm reports. Among regions of exactly equal score the
+// chain may pick another one than that engine: selections across cells and
+// shards follow one canonical order (core.CompareTopK: score, then region
+// coordinates), but the candidate a cell keeps under an exact tie depends
+// on when the cell was searched, and the two engines search on different
+// schedules (ROADMAP item 14b).
 //
 // The kCCS engine keeps its per-cell state canonical — arrival-ordered
 // object storage, candidate scores maintained as arrival-order folds,
@@ -448,9 +446,9 @@
 // checkpoint of the same windows (surge.RestoreTopK over POST /v1/snapshot
 // bytes), which the randomized equivalence tests pin down for kCCS, kGAPS
 // and kMGAPS (the grid engines report canonical folds too). Top-k rank
-// changes are pushed to subscribers as "topk" SSE events. A detector whose
-// pipeline fails keeps serving its last good answer and records the
-// failure (Detector.Err); /healthz then reports it with a 503 so
+// changes are pushed to subscribers as "topk" SSE events. A chain whose
+// shard pipeline fails keeps serving its last good answer and records the
+// failure (TopKDetector.Err); /healthz then reports it with a 503 so
 // orchestrators recycle the instance.
 //
 // # Observability
@@ -485,7 +483,6 @@
 //	surge_sse_delivery_seconds       SSE publish -> written to subscriber
 //	surge_sse_buffer_occupancy       per-subscriber buffer depth at broadcast
 //	surge_shard_flush_events         events per shipped shard batch
-//	surge_shard_barrier_wait_seconds shard Query barrier wait
 //	surge_topk_resolve_seconds       cross-shard top-k resolve (slow path)
 //	surge_topk_solve_wait_seconds    time blocked on shard solve replies
 //	surge_topk_resolved_shards       shard solve ops per resolve

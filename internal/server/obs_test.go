@@ -141,7 +141,7 @@ func TestTrafficPopulatesHistograms(t *testing.T) {
 		{"loop_lag", st.LoopLag},
 		{"sse_delivery", st.SSEDelivery},
 		{"shard_flush_events", st.ShardFlush},
-		{"shard_barrier_wait", st.ShardBarrier},
+		{"topk_solve_wait", st.TopKSolveWait},
 	}
 	for _, ck := range checks {
 		if ck.h.Count == 0 {

@@ -1,5 +1,5 @@
 // Package server hosts surge detectors behind HTTP: surged serve. It turns
-// the embeddable, single-goroutine Detector into a long-running service —
+// the embeddable, single-goroutine TopKDetector into a long-running service —
 // network ingestion, push-based change notification, snapshots and
 // observability — without giving up the library's exactness guarantees.
 //
@@ -98,10 +98,11 @@ func ParseTimePolicy(s string) (TimePolicy, error) {
 // query's engine (Options.Shards >= 2 serves it from the sharded pipeline)
 // and are the inherited defaults for every entry of Queries.
 //
-// Every query is served by one detector and one maintained top-k chain
-// (surge.Detector.AttachTopKBest): /best is the chain's rank 1, /topk a
-// prefix of its answer. Algorithm must therefore be one whose answer a chain
-// reproduces bitwise — CCS, B-CCS, Base, GAPS or MGAPS (see chainFor).
+// Every query is served by one standalone maintained top-k chain
+// (surge.NewTopK, or surge.RestoreTopKSharded from a checkpoint): /best is
+// its rank 1, /topk a prefix of its answer. Algorithm must therefore be one
+// whose score the chain's rank 1 reproduces bitwise — CCS, B-CCS, Base, GAPS
+// or MGAPS (see chainFor).
 type Config struct {
 	Algorithm surge.Algorithm
 	Options   surge.Options
@@ -134,11 +135,11 @@ type Config struct {
 	// chunks are shed with 429 and a Retry-After hint instead of queueing
 	// unboundedly (0 = 256; negative disables shedding).
 	MaxPending int
-	// Checkpoint optionally seeds the default query's detector from a
+	// Checkpoint optionally seeds the default query's chain from a
 	// snapshot instead of starting empty. The checkpoint's recorded query
-	// options (width, height, windows, alpha, area) define the detector —
-	// only Shards, ShardBlockCols and ShardFlushEvents are taken from
-	// Options. Inspect DetectorOptions for the effective configuration.
+	// options (width, height, windows, alpha, area) define the chain — only
+	// Shards and ShardBlockCols are taken from Options. Inspect
+	// DetectorOptions for the effective configuration.
 	Checkpoint []byte
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ so hot-path
 	// regressions can be profiled in place. Off by default: the handlers
@@ -912,7 +913,7 @@ func (s *Server) tenantState(t *tenant) client.State {
 		Now:    sl.det.Now(),
 		Live:   sl.det.Live(),
 		Shards: sl.det.Shards(),
-		Result: client.FromResult(sl.det.Best()),
+		Result: client.FromResult(sl.det.BestK()[0]),
 		Stats: client.EngineStats{
 			Events:       st.Events,
 			Searches:     st.Searches,
@@ -958,7 +959,7 @@ func (s *Server) Restore(data []byte) error {
 }
 
 // restoreTenant replaces one query's engine state with a checkpoint. The
-// replay — including the seeding of a fresh maintained top-k detector —
+// replay — one pass of the live set into a fresh maintained top-k chain —
 // happens off the event loop in a brand-new slot; only the binding swap
 // synchronises with ingest. Other queries are untouched: if the restored
 // query was sharing its slot, the swap unshares it (the old slot keeps
@@ -1224,7 +1225,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		var derr error
 		for _, t := range s.order {
 			sl := t.slot.Load()
-			if e := cmp.Or(sl.failed, sl.det.Err(), sl.tdet.Err()); e != nil {
+			if e := cmp.Or(sl.failed, sl.det.Err()); e != nil {
 				derr = fmt.Errorf("query %q: %w", t.id, e)
 				break
 			}

@@ -43,7 +43,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// internal/shard; get-or-create hands back the same instances (or
 		// empty ones on an unsharded server).
 		ShardFlush:    histVals(obs.Default.Values(obs.MShardFlush, "")),
-		ShardBarrier:  histSecs(obs.Default.Duration(obs.MShardBarrier, "")),
 		TopKResolve:   histSecs(obs.Default.Duration(obs.MTopKResolve, "")),
 		TopKSolveWait: histSecs(obs.Default.Duration(obs.MTopKSolveWait, "")),
 		TopKShards:    histVals(obs.Default.Values(obs.MTopKShards, "")),

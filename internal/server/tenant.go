@@ -34,18 +34,20 @@ func (c tenantConfig) key() string {
 		area = fmt.Sprintf("%v", *c.Options.Area)
 	}
 	o := c.Options
-	return fmt.Sprintf("%d|%v|%v|%v|%v|%v|%s|%v|%t|%d|%d|%d|%d",
+	return fmt.Sprintf("%d|%v|%v|%v|%v|%v|%s|%v|%t|%d|%d|%d",
 		c.Algorithm, o.Width, o.Height, o.Window, o.PastWindow, o.Alpha,
-		area, o.AG2Gamma, o.CountWindows, o.Shards, o.ShardBlockCols,
-		o.ShardFlushEvents, c.TopK)
+		area, o.AG2Gamma, o.CountWindows, o.Shards, o.ShardBlockCols, c.TopK)
 }
 
 // chainFor maps a served algorithm to the maintained top-k chain whose
-// rank-1 region is bitwise that algorithm's single-region answer: the exact
-// family (CCS, B-CCS, Base) all report the region the kCCS chain's first
-// problem solves, and the grid approximations pair with their own chains
-// (GAPS with kGAPS, MGAPS with kMGAPS). aG2 and Oracle have no such chain,
-// so they are not served; they stay library and surgebench baselines.
+// rank 1 answers for it: the exact family (CCS, B-CCS, Base) all solve the
+// unconstrained problem the kCCS chain's first problem solves, and the grid
+// approximations pair with their own chains (GAPS with kGAPS, MGAPS with
+// kMGAPS). Rank 1 has bitwise the score that algorithm's single-region
+// engine reports; among equal-score regions the chain may pick another one
+// than the engine would (ROADMAP item 14b). aG2 and Oracle have no such
+// chain, so they are not served; they stay library and surgebench
+// baselines.
 func chainFor(alg surge.Algorithm) (surge.Algorithm, error) {
 	switch alg {
 	case surge.CellCSPOT, surge.StaticBound, surge.Baseline:
@@ -57,13 +59,12 @@ func chainFor(alg surge.Algorithm) (surge.Algorithm, error) {
 	}
 }
 
-// engineSlot hosts one detector and the maintained top-k chain that answers
-// for it (best is the chain's rank 1) for one or more tenants of identical
-// configuration. Slots are pinned to a worker of the server's shared tenant
-// pool: every ingest batch runs each slot's apply on its worker, the event
-// loop waits at the pool barrier, then reads the pend* results — so slot
-// state needs no lock, exactly like the old single-detector loop ownership,
-// just with N islands instead of one.
+// engineSlot hosts one maintained top-k chain (best is its rank 1) for one
+// or more tenants of identical configuration. Slots are pinned to a worker
+// of the server's shared tenant pool: every ingest batch runs each slot's
+// apply on its worker, the event loop waits at the pool barrier, then reads
+// the pend* results — so slot state needs no lock, exactly like the old
+// single-detector loop ownership, just with N islands instead of one.
 //
 // Sharing happens only at registration time (boot grouping, never
 // retroactively), and a live restore unshares: the restored tenant gets a
@@ -74,8 +75,7 @@ type engineSlot struct {
 	worker int          // pool worker this slot's applies are pinned to
 	refs   atomic.Int32 // tenants bound to this slot; loop-owned writes
 
-	det  *surge.Detector
-	tdet *surge.TopKDetector // the chain serving best and top-k; never nil
+	det *surge.TopKDetector // the chain serving best and top-k
 
 	// clock is this slot's stream clock: the largest timestamp its engine
 	// has ingested. Per-slot, not global, so a tenant created mid-stream or
@@ -122,13 +122,13 @@ type engineSlot struct {
 // into pendErr/pendPanicked so one broken tenant engine never takes the
 // worker, the loop, or the other tenants down.
 func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
-	sl.pendRes, sl.pendClamped, sl.pendErr, sl.pendPanicked = surge.Result{}, 0, sl.failed, sl.failed != nil
+	sl.pendClamped, sl.pendErr, sl.pendPanicked = 0, sl.failed, sl.failed != nil
 	if sl.failed != nil {
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			sl.pendRes, sl.pendClamped = surge.Result{}, 0
+			sl.pendClamped = 0
 			sl.pendErr = fmt.Errorf("%w: batch apply panicked: %v", errPipeline, r)
 			sl.pendPanicked = true
 			sl.failed = sl.pendErr
@@ -165,9 +165,9 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
 	if now := sl.det.Now(); now > sl.clock {
 		sl.clock = now
 	}
-	sl.pendRes = res
 	sl.pendNow = sl.det.Now()
 	if err != nil {
+		// The previous answer stands.
 		if sl.det.Err() != nil {
 			// The engine pipeline itself failed, not the request: the slot
 			// serves its last good answer from here on.
@@ -177,6 +177,7 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
 		msg := err.Error()
 		sl.errMsg.Store(&msg)
 	} else {
+		sl.pendRes = res[0]
 		// errMsg mirrors the newest apply's outcome: a per-batch window
 		// error (invisible in the shared ingest ack when another slot
 		// succeeded) surfaces in this query's stats until a batch applies
@@ -195,14 +196,14 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
 // maintained answer changed (bitwise). The snapshot pointer is the change
 // signal the loop uses per tenant: a new pointer means a new answer.
 func (sl *engineSlot) refreshTopKLocal() {
-	res := sl.tdet.BestK()
+	res := sl.det.BestK()
 	if topkEqual(res, sl.lastTopK) {
 		return
 	}
 	sl.lastTopK = append(sl.lastTopK[:0], res...)
 	snap := &client.TopK{
-		K:          sl.tdet.K(),
-		Algorithm:  sl.tdet.Algorithm().String(),
+		K:          sl.det.K(),
+		Algorithm:  sl.det.Algorithm().String(),
 		Continuous: true,
 		Results:    make([]client.Result, len(sl.lastTopK)),
 	}
@@ -224,7 +225,7 @@ func (sl *engineSlot) refreshEngineStats(now time.Time) {
 	sl.engStats[4].Store(st.CellsTouched)
 }
 
-// close releases the slot's engines. Only called once the loop no longer
+// close releases the slot's chain. Only called once the loop no longer
 // references the slot (it left s.slots), so nothing races the teardown.
 func (sl *engineSlot) close() error {
 	return sl.det.Close()
@@ -284,32 +285,26 @@ type tenantSeed struct {
 }
 
 // buildSlot constructs a slot off the event loop: fresh from cfg, or
-// restored from a checkpoint (the checkpoint's recorded query options
-// define the engine; cfg supplies algorithm and shard layout, as
-// surge.RestoreShardedTuned documents).
+// restored from a checkpoint in one replay (the checkpoint's recorded query
+// options define the chain; cfg supplies algorithm, k and shard layout, as
+// surge.RestoreTopKSharded documents).
 func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
 	chain, err := chainFor(cfg.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	var det *surge.Detector
+	var det *surge.TopKDetector
 	if ckpt != nil {
-		det, err = surge.RestoreShardedTuned(cfg.Algorithm, ckpt,
-			cfg.Options.Shards, cfg.Options.ShardBlockCols, cfg.Options.ShardFlushEvents)
+		det, err = surge.RestoreTopKSharded(chain, ckpt, cfg.TopK, cfg.Options.Shards, cfg.Options.ShardBlockCols)
 	} else {
-		det, err = surge.New(cfg.Algorithm, cfg.Options)
+		det, err = surge.NewTopK(chain, cfg.Options, cfg.TopK)
 	}
 	if err != nil {
 		return nil, err
 	}
-	td, err := det.AttachTopKBest(chain, cfg.TopK)
-	if err != nil {
-		det.Close()
-		return nil, err
-	}
-	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, tdet: td, clock: det.Now()}
+	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, clock: det.Now()}
 	sl.refreshTopKLocal() // BestK has k >= 1 slots, so the first call always builds tkSnap
-	sl.pendRes = det.Best()
+	sl.pendRes = sl.lastTopK[0]
 	sl.pendNow = det.Now()
 	sl.statShards = det.Shards()
 	sl.statNow.Store(math.Float64bits(sl.clock))

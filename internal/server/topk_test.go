@@ -116,25 +116,20 @@ func TestTopKSSEMatchesOffline(t *testing.T) {
 	const k = 3
 	objs := testObjects(11, 1500, 6)
 
-	// Offline reference: a detector with an attached maintained top-k,
-	// queried at the same batch boundaries.
-	off, err := surge.New(surge.CellCSPOT, testOptions(1))
+	// Offline reference: a maintained top-k detector fed the same batches.
+	offTK, err := surge.NewTopK(surge.CellCSPOT, testOptions(1), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer off.Close()
-	offTK, err := off.AttachTopK(surge.CellCSPOT, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer offTK.Close()
 	var want [][]surge.Result
 	last := append([]surge.Result(nil), offTK.BestK()...)
 	for lo := 0; lo < len(objs); lo += batch {
 		hi := min(lo+batch, len(objs))
-		if _, err := off.PushBatch(objs[lo:hi]); err != nil {
+		cur, err := offTK.PushBatch(objs[lo:hi])
+		if err != nil {
 			t.Fatal(err)
 		}
-		cur := offTK.BestK()
 		if !topkEqual(cur, last) {
 			last = append(last[:0], cur...)
 			want = append(want, append([]surge.Result(nil), cur...))
@@ -393,11 +388,10 @@ func TestTopKFastPathAfterRestore(t *testing.T) {
 }
 
 // TestRestoreTwiceSwapsMaintainedTopK pins the restore lifecycle of the
-// maintained top-k detector: every live restore closes the old attached
-// detector on the event loop *before* the replacement attaches, so
-// restoring repeatedly — with ingest batches racing the restores — cannot
-// accumulate attached engines behind the serving detector or leave a stale
-// maintained answer. After the dust settles the continuous answer must
+// maintained top-k chain: every live restore swaps a freshly replayed chain
+// in on the event loop and closes the old one once nothing references it,
+// so restoring repeatedly — with ingest batches racing the restores —
+// cannot leave an old chain serving or a stale maintained answer. After the dust settles the continuous answer must
 // still hold bitwise against checkpoint replay, and the server stays
 // healthy.
 func TestRestoreTwiceSwapsMaintainedTopK(t *testing.T) {

@@ -165,8 +165,5 @@ func TestPanicInTopKSolve(t *testing.T) {
 	if err == nil {
 		t.Fatal("second chain Query returned no error")
 	}
-	within(t, 10*time.Second, "Close", func() {
-		c.Close()
-		p.Close()
-	})
+	within(t, 10*time.Second, "Close", func() { p.Close() })
 }

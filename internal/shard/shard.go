@@ -32,8 +32,8 @@
 //	caller ◀─merged Result── barrier Query ◀─reply chan── (Best per shard)
 //
 // Route buffers events per shard and ships them in batches to amortise
-// channel synchronisation; by default the batch size adapts to each shard's
-// backlog (MinFlush while the shard's channel is empty, doubling with the
+// channel synchronisation; the batch size adapts to each shard's backlog
+// (MinFlush while the shard's channel is empty, doubling with the
 // channel depth up to MaxFlush), and batch slices are recycled through a
 // sync.Pool — workers hand them back after applying them, so the steady
 // state routes without allocating. Query flushes every buffer, sends a barrier
@@ -77,14 +77,9 @@ const (
 	chanDepth = 8
 )
 
-// Params tunes the pipeline beyond the spatial partitioning itself.
-type Params struct {
-	// FlushEvents fixes the router's per-shard flush size. 0 selects the
-	// backlog-adaptive policy: the threshold starts at MinFlush and doubles
-	// with the shard's channel depth up to MaxFlush, so idle shards get
-	// low-latency small batches and backlogged shards get large ones.
-	FlushEvents int
-}
+// Params is an empty placeholder kept for benchmark/ until its next
+// revision, which still passes it to NewTopK.
+type Params struct{}
 
 // EngineFactory builds the detection engine for one shard. The passed config
 // carries the shard's ColumnSet ownership filter; the factory must hand it
@@ -109,52 +104,36 @@ type reply struct {
 	stats core.Stats
 }
 
-// tkSlot is one attached top-k engine on a worker, identified by its
-// chain id.
-type tkSlot struct {
-	id  int
-	eng core.TopKShard
-}
-
+// worker runs exactly one engine: a single-region engine (New) or the
+// shard's top-k chain engine (NewTopK). Both are built before the worker's
+// goroutine starts and never change, so the coordinator may read which one
+// it is.
 type worker struct {
 	idx  int
-	eng  core.Engine // single-region engine; nil on a top-k-only pipeline
-	tks  []tkSlot    // attached top-k chain engines, fed every event
+	eng  core.Engine    // single-region engine; nil on a top-k pipeline
+	tk   core.TopKShard // top-k chain engine; nil on a single-region pipeline
 	ch   chan batch
 	done chan struct{}
-}
-
-// chainEngine returns the worker's engine for the given chain id.
-func (w *worker) chainEngine(id int) core.TopKShard {
-	for _, t := range w.tks {
-		if t.id == id {
-			return t.eng
-		}
-	}
-	return nil
 }
 
 // Pipeline fans window events out to per-shard engines and merges their
 // answers. Use New, Route, Query and Close; see the package comment for the
 // concurrency contract.
 type Pipeline struct {
-	cfg      core.Config
-	block    int
-	cs       core.ColumnSet // Index unused; ShardOf routes
-	flush    int            // fixed flush size; 0 = backlog-adaptive
-	batchCap int            // capacity of the pooled batch slices
-	workers  []*worker
-	pending  [][]core.Event
-	pool     sync.Pool
-	replyc   chan reply
-	results  []core.Result
-	stats    []core.Stats
-	closed   bool
+	cfg     core.Config
+	block   int
+	cs      core.ColumnSet // Index unused; ShardOf routes
+	workers []*worker
+	pending [][]core.Event
+	pool    sync.Pool
+	replyc  chan reply
+	results []core.Result
+	stats   []core.Stats
+	closed  bool
 
-	routeSeq  uint64   // bumped per routed event; top-k chains detect staleness
-	shardSeq  []uint64 // per-shard event counters; chains skip re-solving clean shards
-	nextChain int      // next top-k chain id
-	tgt       [3]int   // Route/seed target scratch (single-caller contract)
+	routeSeq uint64   // bumped per routed event; the top-k chain detects staleness
+	shardSeq []uint64 // per-shard event counters; the chain skips re-solving clean shards
+	tgt      [3]int   // Route target scratch (single-caller contract)
 
 	// Telemetry (process-wide obs.Default; recording amortised over batch
 	// ship points, gated behind obs.On).
@@ -173,26 +152,22 @@ type Pipeline struct {
 	failed atomic.Bool
 	pmu    sync.Mutex
 	perr   error
-
-	// noEngines records that the workers run no single-region engines — a
-	// top-k-only pipeline (factory == nil) or one whose engines were dropped
-	// by DropEngines. It is the coordinator-side mirror of the workers'
-	// w.eng == nil state: Query must not read w.eng (the workers write it on
-	// their own goroutines), so it consults this flag instead.
-	noEngines bool
 }
 
-// New builds a pipeline of `shards` engines over the given base config with
-// default tuning (backlog-adaptive flush sizing). blockCols is the ownership
-// block width in query-width columns (0 selects DefaultBlockCols). The
-// factory is called once per shard with a config whose Cols field identifies
-// the shard's owned columns.
+// New builds a pipeline of `shards` single-region engines over the given
+// base config. blockCols is the ownership block width in query-width columns
+// (0 selects DefaultBlockCols). The factory is called once per shard with a
+// config whose Cols field identifies the shard's owned columns.
 func New(cfg core.Config, shards, blockCols int, factory EngineFactory) (*Pipeline, error) {
-	return NewWithParams(cfg, shards, blockCols, Params{}, factory)
+	return newPipeline(cfg, shards, blockCols, func(w *worker, scfg core.Config) (err error) {
+		w.eng, err = factory(scfg)
+		return err
+	})
 }
 
-// NewWithParams is New with explicit tuning parameters.
-func NewWithParams(cfg core.Config, shards, blockCols int, par Params, factory EngineFactory) (*Pipeline, error) {
+// newPipeline validates the partitioning, builds every worker's engine with
+// build and starts the worker goroutines.
+func newPipeline(cfg core.Config, shards, blockCols int, build func(w *worker, scfg core.Config) error) (*Pipeline, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", shards)
 	}
@@ -205,22 +180,13 @@ func NewWithParams(cfg core.Config, shards, blockCols int, par Params, factory E
 	if cfg.Cols != nil {
 		return nil, errors.New("shard: base config already carries a column set")
 	}
-	if par.FlushEvents < 0 {
-		return nil, fmt.Errorf("shard: flush size must be >= 0, got %d", par.FlushEvents)
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	batchCap := MaxFlush
-	if par.FlushEvents > 0 {
-		batchCap = par.FlushEvents
 	}
 	p := &Pipeline{
 		cfg:      cfg,
 		block:    blockCols,
 		cs:       core.ColumnSet{Block: blockCols, Shards: shards},
-		flush:    par.FlushEvents,
-		batchCap: batchCap,
 		workers:  make([]*worker, shards),
 		pending:  make([][]core.Event, shards),
 		shardSeq: make([]uint64, shards),
@@ -229,7 +195,7 @@ func NewWithParams(cfg core.Config, shards, blockCols int, par Params, factory E
 		stats:    make([]core.Stats, shards),
 	}
 	p.pool.New = func() any {
-		s := make([]core.Event, 0, batchCap)
+		s := make([]core.Event, 0, MaxFlush)
 		return &s
 	}
 	p.mFlush = obs.Default.Values(obs.MShardFlush, "Events per batch shipped to a shard worker.")
@@ -241,18 +207,12 @@ func NewWithParams(cfg core.Config, shards, blockCols int, par Params, factory E
 		p.mDepth[i] = obs.Default.Gauge(obs.MShardDepth, "Per-shard channel depth (batches) observed at flush.", "shard", label)
 		p.mEvents[i] = obs.Default.Counter(obs.MShardEvents, "Events shipped per shard (halo replicas included).", "shard", label)
 	}
-	p.noEngines = factory == nil
 	for i := 0; i < shards; i++ {
-		var eng core.Engine
-		if factory != nil {
-			var err error
-			eng, err = factory(p.shardConfig(i))
-			if err != nil {
-				p.stop()
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
+		w := &worker{idx: i, ch: make(chan batch, chanDepth), done: make(chan struct{})}
+		if err := build(w, p.shardConfig(i)); err != nil {
+			p.stop()
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		w := &worker{idx: i, eng: eng, ch: make(chan batch, chanDepth), done: make(chan struct{})}
 		p.workers[i] = w
 		go p.run(w)
 	}
@@ -314,13 +274,14 @@ func (p *Pipeline) applyEvents(w *worker, evs []core.Event) (ok bool) {
 			p.fail(w.idx, r)
 		}
 	}()
-	for _, ev := range evs {
-		if w.eng != nil {
+	if w.eng != nil {
+		for _, ev := range evs {
 			w.eng.Process(ev)
 		}
-		for _, t := range w.tks {
-			t.eng.Process(ev)
-		}
+		return true
+	}
+	for _, ev := range evs {
+		w.tk.Process(ev)
 	}
 	return true
 }
@@ -340,34 +301,15 @@ func (p *Pipeline) runOp(w *worker, op *tkOp) (ok bool) {
 		}
 	}()
 	switch op.kind {
-	case tkAttach:
-		w.tks = append(w.tks, tkSlot{id: op.id, eng: op.eng})
-		for _, ev := range op.seed {
-			op.eng.Process(ev)
-		}
-	case tkDetach:
-		for j, t := range w.tks {
-			if t.id == op.id {
-				w.tks = append(w.tks[:j], w.tks[j+1:]...)
-				break
-			}
-		}
 	case tkSolve:
-		r := tkReply{idx: w.idx}
-		if eng := w.chainEngine(op.id); eng != nil {
-			r.res = eng.ProblemBest(op.i)
-			if s, ok := eng.(statser); ok {
-				r.stats = s.Stats()
-			}
+		r := tkReply{idx: w.idx, res: w.tk.ProblemBest(op.i)}
+		if s, ok := w.tk.(statser); ok {
+			r.stats = s.Stats()
 		}
 		replied = true
 		op.resc <- r
 	case tkApply:
-		if eng := w.chainEngine(op.id); eng != nil {
-			eng.ApplyRank(op.i, op.old, op.sel)
-		}
-	case tkDropEng:
-		w.eng = nil
+		w.tk.ApplyRank(op.i, op.old, op.sel)
 	}
 	return true
 }
@@ -506,14 +448,10 @@ func (p *Pipeline) noteShip(s, events int) {
 }
 
 // flushTarget returns the buffered-event count at which the router ships a
-// batch to shard s. A fixed Params.FlushEvents wins; otherwise the target
-// adapts to the shard's observed backlog — the channel depth read here is a
-// heuristic (the worker drains concurrently), so the target only steers
+// batch to shard s. The target adapts to the shard's observed backlog — the
+// channel depth read here is a heuristic (the worker drains concurrently), so the target only steers
 // batch sizing and never affects which events a shard sees or their order.
 func (p *Pipeline) flushTarget(s int) int {
-	if p.flush > 0 {
-		return p.flush
-	}
 	t := MinFlush << uint(len(p.workers[s].ch))
 	if t > MaxFlush || t <= 0 {
 		return MaxFlush
@@ -532,7 +470,7 @@ func (p *Pipeline) Query() (core.Result, core.Stats, error) {
 	if p.closed {
 		return core.Result{}, core.Stats{}, errors.New("shard: pipeline is closed")
 	}
-	if p.noEngines {
+	if p.workers[0].eng == nil {
 		return core.Result{}, core.Stats{}, errors.New("shard: pipeline has no single-region engines")
 	}
 	if err := p.err(); err != nil {
@@ -573,22 +511,6 @@ func (p *Pipeline) Query() (core.Result, core.Stats, error) {
 		st.CellsTouched += s.CellsTouched
 	}
 	return best, st, nil
-}
-
-// DropEngines permanently retires the single-region engines: each worker
-// drops its engine on its own goroutine (freeing the engine's state for
-// collection) and stops feeding routed events to it, while attached top-k
-// chains keep running. Query fails afterwards — callers switch to serving
-// from an attached chain before dropping. DropEngines is idempotent and a
-// no-op on a top-k-only or closed pipeline.
-func (p *Pipeline) DropEngines() {
-	if p.closed || p.noEngines {
-		return
-	}
-	p.noEngines = true
-	for _, w := range p.workers {
-		w.ch <- batch{op: &tkOp{kind: tkDropEng}}
-	}
 }
 
 // Close stops the shard goroutines and waits for them to exit. Buffered

@@ -1,16 +1,17 @@
 // Cross-shard top-k: the greedy chain of Section VI run globally over the
 // per-shard engines.
 //
-// Each shard worker maintains a top-k engine (core.TopKShard) over its owned
-// column blocks plus the one-query-width halo, fed by the same routed event
-// stream as the single-region engines. A chain query runs the greedy chain
-// at the coordinator: for every rank it collects each shard's best owned
-// candidate for the current problem, selects the global winner (maximum
-// score, ties to the lowest shard index), and commits it back with ApplyRank
-// so the winner's covered objects become invisible to the higher-ranked
-// problems — on every shard that can hold a copy of such an object, owner or
-// halo. Only those few shards then re-solve the next problem; every other
-// shard's cached answer provably still stands (see Query).
+// Each shard worker of a top-k pipeline (NewTopK) maintains a top-k engine
+// (core.TopKShard) over its owned column blocks plus the one-query-width
+// halo, fed by the same routed event stream a single-region pipeline's
+// engines see. A chain query runs the greedy chain at the coordinator: for
+// every rank it collects each shard's best owned candidate for the current
+// problem, selects the global winner (maximum score, ties to the lowest
+// shard index), and commits it back with ApplyRank so the winner's covered
+// objects become invisible to the higher-ranked problems — on every shard
+// that can hold a copy of such an object, owner or halo. Only those few
+// shards then re-solve the next problem; every other shard's cached answer
+// provably still stands (see Query).
 //
 // Because the engines keep their per-cell state canonical (arrival-ordered
 // storage, canonically rescored candidates) and a shard's owned cells hold
@@ -35,11 +36,8 @@ type TopKFactory func(cfg core.Config) (core.TopKShard, error)
 
 // Op kinds of the worker-side top-k protocol (batch.op).
 const (
-	tkAttach  uint8 = iota // install op.eng for chain op.id, apply op.seed
-	tkDetach               // remove chain op.id's engine
-	tkSolve                // answer ProblemBest(op.i) on op.resc
-	tkApply                // ApplyRank(op.i, op.old, op.sel), no reply
-	tkDropEng              // drop the worker's single-region engine (DropEngines)
+	tkSolve uint8 = iota // answer ProblemBest(op.i) on op.resc
+	tkApply              // ApplyRank(op.i, op.old, op.sel), no reply
 )
 
 // tkOp is one top-k chain operation shipped to a worker inside a batch.
@@ -47,11 +45,8 @@ const (
 // applied in exactly the order the coordinator issued them.
 type tkOp struct {
 	kind     uint8
-	id       int // chain id
 	i        int // rank / problem index, 1-based
 	old, sel core.Result
-	eng      core.TopKShard // tkAttach
-	seed     []core.Event   // tkAttach: pre-routed seed events for this shard
 	resc     chan<- tkReply // tkSolve
 }
 
@@ -61,13 +56,12 @@ type tkReply struct {
 	stats core.Stats
 }
 
-// TopKChain is the coordinator of one cross-shard top-k detector attached to
-// a pipeline. It shares the pipeline's single-caller contract: one goroutine
+// TopKChain is the coordinator of the cross-shard top-k chain of a top-k
+// pipeline. It shares the pipeline's single-caller contract: one goroutine
 // routes events and queries, the parallelism lives in the workers.
 type TopKChain struct {
-	p  *Pipeline
-	id int
-	k  int
+	p *Pipeline
+	k int
 
 	top   []core.Result // committed global answers, by rank
 	ans   []core.Result // per-shard current problem contribution
@@ -91,12 +85,11 @@ type TopKChain struct {
 	rankStamp [][]uint64 // stamp of the commit
 	stamp     uint64
 
-	replyc   chan tkReply
-	aff      []int  // affected-shard scratch
-	solves   []int  // rank-stage solve scratch
-	seenSeq  uint64 // routeSeq at the last resolve
-	valid    bool   // out/sum hold a resolved answer
-	detached bool
+	replyc  chan tkReply
+	aff     []int  // affected-shard scratch
+	solves  []int  // rank-stage solve scratch
+	seenSeq uint64 // routeSeq at the last resolve
+	valid   bool   // out/sum hold a resolved answer
 
 	// Telemetry (process-wide obs.Default). The fast path — cached answer,
 	// no events since — records nothing: only actual resolves are priced.
@@ -106,45 +99,25 @@ type TopKChain struct {
 	mCommits   *obs.Counter   // ApplyRank commits shipped
 }
 
-// AttachTopK installs a top-k chain of size k on the pipeline: one engine
-// per shard, built by the factory with the shard's ownership config, fed
-// every subsequently routed event on the shard workers. seed is an optional
-// global event sequence (in stream order) replayed into the engines before
-// any new events — the caller's live windows; it is routed with the same
-// halo replication as live events. Any events buffered in the router are
-// shipped first, so a seed derived from the already-routed stream state is
-// never applied twice.
-func (p *Pipeline) AttachTopK(k int, factory TopKFactory, seed []core.Event) (*TopKChain, error) {
-	if p.closed {
-		return nil, errors.New("shard: pipeline is closed")
-	}
+// NewTopK builds a top-k pipeline: every shard worker runs one top-k
+// engine of size k, built by the factory with the shard's ownership config
+// (there are no single-region engines, so Pipeline.Query is unavailable),
+// and the returned chain answers the global top-k via Query. The Params
+// argument is ignored. Closing the pipeline stops the workers.
+func NewTopK(cfg core.Config, shards, blockCols int, _ Params, k int, factory TopKFactory) (*Pipeline, *TopKChain, error) {
 	if k < 1 {
-		return nil, errors.New("shard: top-k chain needs k >= 1")
+		return nil, nil, errors.New("shard: top-k chain needs k >= 1")
 	}
-	engines := make([]core.TopKShard, len(p.workers))
-	for i := range p.workers {
-		eng, err := factory(p.shardConfig(i))
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = eng
+	p, err := newPipeline(cfg, shards, blockCols, func(w *worker, scfg core.Config) (err error) {
+		w.tk, err = factory(scfg)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	seeds := make([][]core.Event, len(p.workers))
-	for _, ev := range seed {
-		if !p.cfg.InArea(ev.Obj) {
-			continue
-		}
-		for _, s := range p.targets(ev) {
-			seeds[s] = append(seeds[s], ev)
-		}
-	}
-	p.flushPending()
-	id := p.nextChain
-	p.nextChain++
 	n := len(p.workers)
 	c := &TopKChain{
 		p:         p,
-		id:        id,
 		k:         k,
 		top:       make([]core.Result, k),
 		ans:       make([]core.Result, n),
@@ -175,38 +148,7 @@ func (p *Pipeline) AttachTopK(k int, factory TopKFactory, seed []core.Event) (*T
 		c.rankSeq[s] = make([]uint64, k)
 		c.rankStamp[s] = make([]uint64, k)
 	}
-	for i, w := range p.workers {
-		w.ch <- batch{op: &tkOp{kind: tkAttach, id: id, eng: engines[i], seed: seeds[i]}}
-	}
-	return c, nil
-}
-
-// NewTopK builds a top-k-only pipeline: the shard workers run just the
-// chain's engines (no single-region engines; Query is unavailable) and the
-// returned chain answers BestK-style queries via Query. Closing the pipeline
-// stops the workers.
-func NewTopK(cfg core.Config, shards, blockCols int, par Params, k int, factory TopKFactory) (*Pipeline, *TopKChain, error) {
-	p, err := NewWithParams(cfg, shards, blockCols, par, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := p.AttachTopK(k, factory, nil)
-	if err != nil {
-		p.Close()
-		return nil, nil, err
-	}
 	return p, c, nil
-}
-
-// flushPending ships the router's buffered events without a barrier.
-func (p *Pipeline) flushPending() {
-	for i, buf := range p.pending {
-		if len(buf) > 0 {
-			p.noteShip(i, len(buf))
-			p.workers[i].ch <- batch{evs: buf}
-			p.pending[i] = nil
-		}
-	}
 }
 
 // K returns the chain's k.
@@ -289,7 +231,7 @@ func (c *TopKChain) recordSolve(r tkReply, prob int) {
 // event-receiving shard and nothing else.
 func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 	p := c.p
-	if p.closed || c.detached {
+	if p.closed {
 		return nil, core.Stats{}, errors.New("shard: top-k chain is closed")
 	}
 	if err := p.err(); err != nil {
@@ -313,7 +255,7 @@ func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 		if n := len(p.pending[i]); n > 0 {
 			p.noteShip(i, n)
 		}
-		w.ch <- batch{evs: p.pending[i], op: &tkOp{kind: tkSolve, id: c.id, i: 1, resc: c.replyc}}
+		w.ch <- batch{evs: p.pending[i], op: &tkOp{kind: tkSolve, i: 1, resc: c.replyc}}
 		p.pending[i] = nil
 		need++
 	}
@@ -345,7 +287,7 @@ func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 		c.solves = c.solves[:0]
 		for _, s := range c.aff {
 			if !c.applyIsNoop(s, i, old, sel) {
-				p.workers[s].ch <- batch{op: &tkOp{kind: tkApply, id: c.id, i: i, old: old, sel: sel}}
+				p.workers[s].ch <- batch{op: &tkOp{kind: tkApply, i: i, old: old, sel: sel}}
 				c.mCommits.Inc()
 				c.stamp++
 				c.rankSel[s][i-1] = sel
@@ -363,7 +305,7 @@ func (c *TopKChain) Query() ([]core.Result, core.Stats, error) {
 			c.solves = append(c.solves, s)
 		}
 		for _, s := range c.solves {
-			p.workers[s].ch <- batch{op: &tkOp{kind: tkSolve, id: c.id, i: i + 1, resc: c.replyc}}
+			p.workers[s].ch <- batch{op: &tkOp{kind: tkSolve, i: i + 1, resc: c.replyc}}
 		}
 		solveOps += len(c.solves)
 		if len(c.solves) > 0 {
@@ -429,21 +371,4 @@ func (p *Pipeline) affectedShards(dst []int, rs ...core.Result) []int {
 		}
 	}
 	return dst
-}
-
-// Close detaches the chain from the pipeline: the workers drop its engines
-// and stop maintaining them. Queries fail afterwards; callers that need the
-// final answer must Query before closing. Closing an already-detached chain
-// or a chain on a closed pipeline is a no-op.
-func (c *TopKChain) Close() {
-	if c.detached {
-		return
-	}
-	c.detached = true
-	if c.p.closed {
-		return
-	}
-	for _, w := range c.p.workers {
-		w.ch <- batch{op: &tkOp{kind: tkDetach, id: c.id}}
-	}
 }

@@ -101,27 +101,21 @@ func collectPinned(t *testing.T) map[string][]pinnedAnswer {
 		out[alg.String()] = recs
 	}
 
-	d, err := surge.New(surge.CellCSPOT, pinnedOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	td, err := d.AttachTopK(surge.CellCSPOT, pinnedK)
+	td, err := surge.NewTopK(surge.CellCSPOT, pinnedOptions(), pinnedK)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := make([][]pinnedAnswer, pinnedK)
 	for i := 0; i < len(objs); i += pinnedBatch {
-		if _, err := d.PushBatch(objs[i:min(i+pinnedBatch, len(objs))]); err != nil {
+		top, err := td.PushBatch(objs[i:min(i+pinnedBatch, len(objs))])
+		if err != nil {
 			t.Fatal(err)
 		}
-		for r, res := range td.BestK() {
+		for r, res := range top {
 			recs[r] = append(recs[r], toPinned(res))
 		}
 	}
 	if err := td.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < pinnedK; r++ {

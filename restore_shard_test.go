@@ -22,8 +22,8 @@ func pushChunks(t *testing.T, det *surge.Detector, objs []surge.Object, chunk in
 }
 
 // TestRestoreHonorsCheckpointedShards: a checkpoint written by a sharded
-// detector restores into a sharded pipeline of the same shape (the former
-// ROADMAP open item — Restore used to always rebuild a single engine).
+// detector restores into a sharded pipeline of the same shape rather than
+// a single engine.
 func TestRestoreHonorsCheckpointedShards(t *testing.T) {
 	o := opts()
 	o.Shards = 3

@@ -182,17 +182,6 @@ type Options struct {
 	// spread hotspots over more shards; larger blocks route fewer boundary
 	// objects to two shards.
 	ShardBlockCols int
-	// ShardFlushEvents fixes the number of events the shard router buffers
-	// per shard before shipping a batch to the shard goroutine. 0 (the
-	// default) selects backlog-adaptive batching: small batches while a
-	// shard's channel is empty, for low detection latency, doubling with
-	// the channel depth up to the maximum under backlog, for throughput.
-	// Batch sizing never changes which events a shard sees or their order,
-	// so results are identical under every setting. Ignored on the
-	// single-engine path. Runtime tuning, not logical state: checkpoints do
-	// not record it, so pass it again on restore (RestoreShardedTuned; the
-	// server re-applies its configured value automatically).
-	ShardFlushEvents int
 }
 
 func (o Options) config() (core.Config, error) {
@@ -229,21 +218,15 @@ type Detector struct {
 	cur      core.Result
 	err      error              // first pipeline failure, surfaced by Err
 	ckptObjs []checkpointObject // checkpoint scratch, reused across calls
-	taps     []*TopKDetector    // attached top-k detectors fed every event
-	ctaps    []*TopKDetector    // attached top-k detectors riding the shard workers
 	ag2Gamma float64
+	counted  bool
+	shards   int // requested Options.Shards (recorded in checkpoints)
+	blkCols  int // requested Options.ShardBlockCols
+	closed   bool
 
-	// AttachTopKBest state: the chain serving Best, and whether the
-	// single-region engines were retired. engOff outlives bestChain — if the
-	// serving chain is detached the detector degrades to its retained answer
-	// (recordErr) instead of touching the dropped engines.
-	bestChain *TopKDetector
-	engOff    bool
-	counted   bool
-	shards    int // requested Options.Shards (recorded in checkpoints)
-	blkCols   int // requested Options.ShardBlockCols
-	flushEvs  int // requested Options.ShardFlushEvents (not checkpointed)
-	closed    bool
+	// served is the standalone chain AttachTopKBest handed the stream to;
+	// when set, every stream and query method delegates to it.
+	served *TopKDetector
 
 	// The window engine's emit callbacks, captured once: binding a method
 	// value per Push would put one closure allocation on the per-object hot
@@ -275,19 +258,13 @@ func New(alg Algorithm, opt Options) (*Detector, error) {
 		counted:  opt.CountWindows,
 		shards:   opt.Shards,
 		blkCols:  opt.ShardBlockCols,
-		flushEvs: opt.ShardFlushEvents,
 	}
-	d.stepFn = d.step
-	d.stepQuietFn = d.stepQuiet
 	if opt.Shards >= 2 && alg != AG2 {
-		d.pipe, err = shard.NewWithParams(cfg, opt.Shards, opt.ShardBlockCols,
-			shard.Params{FlushEvents: opt.ShardFlushEvents},
+		d.pipe, err = shard.New(cfg, opt.Shards, opt.ShardBlockCols,
 			func(scfg core.Config) (core.Engine, error) { return newEngine(alg, scfg, opt) })
 		if err != nil {
 			return nil, err
 		}
-		// Top-k detectors attached to a sharded parent ride the shard
-		// workers (ctaps), so there are no caller-side taps on this path.
 		d.routeStepFn = d.pipe.Route
 		return d, nil
 	}
@@ -295,6 +272,8 @@ func New(alg Algorithm, opt Options) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.stepFn = d.step
+	d.stepQuietFn = d.eng.Process
 	return d, nil
 }
 
@@ -356,22 +335,26 @@ func (d *Detector) Algorithm() Algorithm { return d.alg }
 // RestoreSharded overrides applied). PastWindow is always explicit, even
 // when it was derived from Window.
 func (d *Detector) Options() Options {
+	return options(d.cfg, d.ag2Gamma, d.counted, d.shards, d.blkCols)
+}
+
+// options rebuilds the Options a detector of either kind was created with.
+func options(cfg core.Config, ag2Gamma float64, counted bool, shards, blkCols int) Options {
 	opt := Options{
-		Width:            d.cfg.Width,
-		Height:           d.cfg.Height,
-		Window:           d.cfg.WC,
-		PastWindow:       d.cfg.WP,
-		Alpha:            d.cfg.Alpha,
-		AG2Gamma:         d.ag2Gamma,
-		CountWindows:     d.counted,
-		Shards:           d.shards,
-		ShardBlockCols:   d.blkCols,
-		ShardFlushEvents: d.flushEvs,
+		Width:          cfg.Width,
+		Height:         cfg.Height,
+		Window:         cfg.WC,
+		PastWindow:     cfg.WP,
+		Alpha:          cfg.Alpha,
+		AG2Gamma:       ag2Gamma,
+		CountWindows:   counted,
+		Shards:         shards,
+		ShardBlockCols: blkCols,
 	}
-	if d.cfg.Area != nil {
+	if cfg.Area != nil {
 		opt.Area = &Region{
-			MinX: d.cfg.Area.MinX, MinY: d.cfg.Area.MinY,
-			MaxX: d.cfg.Area.MaxX, MaxY: d.cfg.Area.MaxY,
+			MinX: cfg.Area.MinX, MinY: cfg.Area.MinY,
+			MaxX: cfg.Area.MaxX, MaxY: cfg.Area.MaxY,
 		}
 	}
 	return opt
@@ -384,6 +367,9 @@ func (d *Detector) Options() Options {
 // previous answer is retained and returned, exactly as for PushBatch. After
 // Close it returns the last answer and ErrClosed.
 func (d *Detector) Push(o Object) (Result, error) {
+	if d.served != nil {
+		return d.servedBest(d.served.Push(o))
+	}
 	if d.closed {
 		return toResult(d.cur), ErrClosed
 	}
@@ -391,12 +377,6 @@ func (d *Detector) Push(o Object) (Result, error) {
 		return d.pushSharded([]Object{o})
 	}
 	_, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, d.stepFn)
-	if err != nil {
-		return toResult(d.cur), err
-	}
-	if d.bestChain != nil {
-		err = d.refreshFromBestChain()
-	}
 	return toResult(d.cur), err
 }
 
@@ -411,6 +391,9 @@ func (d *Detector) Push(o Object) (Result, error) {
 // the offending one and the previous answer is retained. After Close it
 // returns the last answer and ErrClosed.
 func (d *Detector) PushBatch(objs []Object) (Result, error) {
+	if d.served != nil {
+		return d.servedBest(d.served.PushBatch(objs))
+	}
 	if d.closed {
 		return toResult(d.cur), ErrClosed
 	}
@@ -422,13 +405,6 @@ func (d *Detector) PushBatch(objs []Object) (Result, error) {
 			return toResult(d.cur), err
 		}
 	}
-	if d.engOff {
-		var err error
-		if d.bestChain != nil {
-			err = d.refreshFromBestChain()
-		}
-		return toResult(d.cur), err
-	}
 	d.cur = d.eng.Best()
 	return toResult(d.cur), nil
 }
@@ -438,13 +414,6 @@ func (d *Detector) pushSharded(objs []Object) (Result, error) {
 		if _, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, d.routeStepFn); err != nil {
 			return toResult(d.cur), err
 		}
-	}
-	if d.engOff {
-		var err error
-		if d.bestChain != nil {
-			err = d.refreshFromBestChain()
-		}
-		return toResult(d.cur), err
 	}
 	res, _, err := d.pipe.Query()
 	if err != nil {
@@ -461,18 +430,14 @@ func (d *Detector) pushSharded(objs []Object) (Result, error) {
 // exactly as for PushBatch. After Close it returns the last answer and
 // ErrClosed.
 func (d *Detector) AdvanceTo(t float64) (Result, error) {
+	if d.served != nil {
+		return d.servedBest(d.served.AdvanceTo(t))
+	}
 	if d.closed {
 		return toResult(d.cur), ErrClosed
 	}
 	if d.pipe != nil {
 		if err := d.win.Advance(t, d.routeStepFn); err != nil {
-			return toResult(d.cur), err
-		}
-		if d.engOff {
-			var err error
-			if d.bestChain != nil {
-				err = d.refreshFromBestChain()
-			}
 			return toResult(d.cur), err
 		}
 		res, _, err := d.pipe.Query()
@@ -486,51 +451,16 @@ func (d *Detector) AdvanceTo(t float64) (Result, error) {
 	if err := d.win.Advance(t, d.stepFn); err != nil {
 		return toResult(d.cur), err
 	}
-	if d.engOff {
-		var err error
-		if d.bestChain != nil {
-			err = d.refreshFromBestChain()
-		}
-		return toResult(d.cur), err
-	}
 	d.cur = d.eng.Best()
 	return toResult(d.cur), nil
 }
 
 // step processes one window event and refreshes the current answer, matching
 // the paper's continuous semantics (one detection per rectangle message).
-// With the engines retired (AttachTopKBest) the taps already maintained the
-// serving chain; Push/AdvanceTo refresh the answer from it once at the end.
+// PushBatch feeds the engine directly and refreshes once per batch.
 func (d *Detector) step(ev core.Event) {
-	if len(d.taps) != 0 {
-		d.tap(ev)
-	}
-	if d.engOff {
-		return
-	}
 	d.eng.Process(ev)
 	d.cur = d.eng.Best()
-}
-
-// stepQuiet processes one window event without refreshing the answer
-// (PushBatch refreshes once per batch).
-func (d *Detector) stepQuiet(ev core.Event) {
-	if len(d.taps) != 0 {
-		d.tap(ev)
-	}
-	if d.engOff {
-		return
-	}
-	d.eng.Process(ev)
-}
-
-// tap feeds one window event to the top-k detectors attached to a
-// single-engine parent, on the caller's goroutine, so an attached engine
-// observes exactly the single global stream order.
-func (d *Detector) tap(ev core.Event) {
-	for _, t := range d.taps {
-		t.eng.Process(ev)
-	}
 }
 
 // Best returns the current bursty region. On a sharded detector this is a
@@ -538,13 +468,10 @@ func (d *Detector) tap(ev core.Event) {
 // is served and the error is recorded for Err. After Close it keeps
 // returning the answer captured at Close.
 func (d *Detector) Best() Result {
-	if d.closed {
-		return toResult(d.cur)
+	if d.served != nil {
+		return d.served.BestK()[0]
 	}
-	if d.engOff {
-		if d.bestChain != nil {
-			d.refreshFromBestChain() // on failure serve the retained answer
-		}
+	if d.closed {
 		return toResult(d.cur)
 	}
 	if d.pipe != nil {
@@ -559,19 +486,6 @@ func (d *Detector) Best() Result {
 	return toResult(d.cur)
 }
 
-// refreshFromBestChain synchronises d.cur with the serving chain's rank-1
-// region (AttachTopKBest), recording the first chain failure for Err. On
-// failure the retained answer stands.
-func (d *Detector) refreshFromBestChain() error {
-	r, err := d.bestChain.rank1()
-	if err != nil {
-		d.recordErr(err)
-		return err
-	}
-	d.cur = r
-	return nil
-}
-
 // recordErr keeps the first pipeline failure for Err.
 func (d *Detector) recordErr(err error) {
 	if d.err == nil {
@@ -583,17 +497,35 @@ func (d *Detector) recordErr(err error) {
 // push, nil if none. A detector with a non-nil Err keeps serving its last
 // good answer (Best) but can no longer refresh it; serving layers should
 // surface the condition (the bundled server reports it on /healthz).
-func (d *Detector) Err() error { return d.err }
+func (d *Detector) Err() error {
+	if d.served != nil {
+		return d.served.Err()
+	}
+	return d.err
+}
 
 // Now returns the current stream time.
-func (d *Detector) Now() float64 { return d.win.Now() }
+func (d *Detector) Now() float64 {
+	if d.served != nil {
+		return d.served.Now()
+	}
+	return d.win.Now()
+}
 
 // Live returns the number of objects currently inside the two windows.
-func (d *Detector) Live() int { return d.win.Live() }
+func (d *Detector) Live() int {
+	if d.served != nil {
+		return d.served.Live()
+	}
+	return d.win.Live()
+}
 
 // Shards returns the number of engine shards processing the stream (1 on
 // the single-engine path, including the AG2 fallback).
 func (d *Detector) Shards() int {
+	if d.served != nil {
+		return d.served.Shards()
+	}
 	if d.pipe != nil {
 		return d.pipe.Shards()
 	}
@@ -602,43 +534,24 @@ func (d *Detector) Shards() int {
 
 // Close stops the detector: on the sharded path the shard goroutines are
 // shut down after buffered events are flushed and a final synchronisation
-// runs, so Best and Stats keep reporting the end-of-stream answer — and any
-// top-k detectors attached to the shard workers capture their final answer
-// too. After Close, Push, PushBatch and AdvanceTo return ErrClosed (on both
-// the sharded and the single-engine path) while the query methods keep
-// answering from the captured state. Close is idempotent.
+// runs, so Best and Stats keep reporting the end-of-stream answer. After
+// Close, Push, PushBatch and AdvanceTo return ErrClosed (on both the sharded
+// and the single-engine path) while the query methods keep answering from
+// the captured state. Close is idempotent.
 func (d *Detector) Close() error {
+	if d.served != nil {
+		return d.served.Close()
+	}
 	if d.closed {
 		return nil
 	}
 	d.closed = true
 	if d.pipe == nil {
-		if d.engOff {
-			if d.bestChain != nil {
-				if r, err := d.bestChain.rank1(); err == nil {
-					d.cur = r
-				}
-				d.finalStats = d.bestChain.Stats()
-			}
-			return nil
-		}
 		d.cur = d.eng.Best()
 		if s, ok := d.eng.(statser); ok {
 			d.finalStats = toStats(s.Stats())
 		}
 		return nil
-	}
-	for _, t := range d.ctaps {
-		t.freeze()
-	}
-	if d.engOff {
-		if d.bestChain != nil { // frozen above: serves its captured answer
-			if r, err := d.bestChain.rank1(); err == nil {
-				d.cur = r
-			}
-			d.finalStats = d.bestChain.Stats()
-		}
-		return d.pipe.Close()
 	}
 	if res, st, err := d.pipe.Query(); err == nil {
 		d.cur = res
@@ -654,14 +567,11 @@ func (d *Detector) Close() error {
 // Events can exceed the single-engine count while the search and cell
 // counters match.
 func (d *Detector) Stats() Stats {
+	if d.served != nil {
+		return d.served.Stats()
+	}
 	if d.closed {
 		return d.finalStats
-	}
-	if d.engOff {
-		if d.bestChain != nil {
-			return d.bestChain.Stats()
-		}
-		return Stats{}
 	}
 	if d.pipe != nil {
 		_, st, err := d.pipe.Query()

@@ -36,6 +36,48 @@ func TestTopKConstructors(t *testing.T) {
 				t.Fatalf("%v: fresh detector rank %d found", a, i)
 			}
 		}
+		want := opts()
+		want.PastWindow = want.Window // always explicit
+		if got := d.Options(); got != want {
+			t.Fatalf("%v: Options() = %+v, want %+v", a, got, want)
+		}
+		if d.Live() != 0 {
+			t.Fatalf("%v: fresh detector Live() = %d", a, d.Live())
+		}
+		if _, err := d.PushBatch(randomObjects(7, 20, 5)); err != nil {
+			t.Fatal(err)
+		}
+		if d.Live() != 20 {
+			t.Fatalf("%v: Live() = %d after 20 objects in the window", a, d.Live())
+		}
+	}
+
+	// A restored detector reports the checkpoint's geometry with the
+	// overridden shard layout, and the checkpoint's live set.
+	o := opts()
+	o.Width, o.Area = 2, &surge.Region{MaxX: 4, MaxY: 4}
+	src, err := surge.NewTopK(surge.CellCSPOT, o, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.PushBatch(randomObjects(9, 40, 5)); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := surge.RestoreTopKSharded(surge.CellCSPOT, ckpt, 2, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	got := back.Options()
+	if got.Width != 2 || got.Area == nil || *got.Area != *o.Area || got.Shards != 3 || got.ShardBlockCols != 1 {
+		t.Fatalf("restored Options() = %+v", got)
+	}
+	if back.Live() != src.Live() || back.Live() != 40 {
+		t.Fatalf("restored Live() = %d, source %d", back.Live(), src.Live())
 	}
 }
 

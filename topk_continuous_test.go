@@ -123,83 +123,6 @@ func TestTopKSnapshotRestoreResume(t *testing.T) {
 	}
 }
 
-// TestAttachTopK pins the maintained serving path's core mechanism: a
-// top-k detector attached to a running detector mid-stream — sharded or
-// not — answers bitwise like a standalone detector fed the whole stream,
-// and stays in lockstep as the parent keeps ingesting (Push, PushBatch and
-// AdvanceTo all maintain it).
-func TestAttachTopK(t *testing.T) {
-	const k = 3
-	for _, shards := range []int{1, 3} {
-		o := opts()
-		o.Shards = shards
-		parent, err := surge.New(surge.CellCSPOT, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reference, err := surge.NewTopK(surge.CellCSPOT, opts(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs := randomObjects(59, 700, 5)
-		cut := 300
-		for _, ob := range objs[:cut] {
-			if _, err := parent.Push(ob); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := reference.Push(ob); err != nil {
-				t.Fatal(err)
-			}
-		}
-		attached, err := parent.AttachTopK(surge.CellCSPOT, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !attached.Attached() {
-			t.Fatal("attached detector does not report Attached")
-		}
-		if _, err := attached.Push(objs[cut]); err != surge.ErrAttached {
-			t.Fatalf("Push on attached detector returned %v, want ErrAttached", err)
-		}
-		bitEqualTopK(t, "attach seed", attached.BestK(), reference.BestK())
-
-		// Mixed batch sizes exercise Push and PushBatch on the parent.
-		for lo := cut; lo < len(objs); {
-			hi := min(lo+37, len(objs))
-			if _, err := parent.PushBatch(objs[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := reference.PushBatch(objs[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-			bitEqualTopK(t, "attach lockstep", attached.BestK(), reference.BestK())
-			lo = hi
-		}
-		end := objs[len(objs)-1].Time + 1000
-		if _, err := parent.AdvanceTo(end); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := reference.AdvanceTo(end); err != nil {
-			t.Fatal(err)
-		}
-		bitEqualTopK(t, "attach drained", attached.BestK(), reference.BestK())
-		if attached.Now() != parent.Now() {
-			t.Fatalf("attached clock %v != parent %v", attached.Now(), parent.Now())
-		}
-
-		// Detaching stops maintenance.
-		if err := attached.Close(); err != nil {
-			t.Fatal(err)
-		}
-		before := copyResults(attached.BestK())
-		if _, err := parent.Push(surge.Object{X: 1, Y: 1, Weight: 500, Time: end + 1}); err != nil {
-			t.Fatal(err)
-		}
-		bitEqualTopK(t, "detached frozen", attached.BestK(), before)
-		parent.Close()
-	}
-}
-
 // TestTopKResultsBufferReuse documents the query methods' buffer-reuse
 // contract: the returned slice is overwritten by the next call.
 func TestTopKResultsBufferReuse(t *testing.T) {

@@ -183,115 +183,3 @@ func TestTopKShardedRestoreCrossCount(t *testing.T) {
 		ref.Close()
 	}
 }
-
-// TestAttachTopKShardedParent attaches a top-k detector to a sharded parent
-// — the maintenance rides the shard workers — and requires bitwise the same
-// answers as a single-engine standalone detector fed the same stream,
-// including mid-stream attachment (seeded from the live windows) and the
-// freeze-at-parent-Close semantics.
-func TestAttachTopKShardedParent(t *testing.T) {
-	const k = 4
-	objs := shardStream(99, 1400, 8)
-	o := opts()
-	o.Shards = 3
-	o.ShardBlockCols = 1
-	parent, err := surge.New(surge.CellCSPOT, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference, err := surge.NewTopK(surge.CellCSPOT, opts(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the parent before attaching: the attach seeds the shard engines
-	// from the live windows.
-	third := len(objs) / 3
-	if _, err := parent.PushBatch(objs[:third]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reference.PushBatch(objs[:third]); err != nil {
-		t.Fatal(err)
-	}
-	attached, err := parent.AttachTopK(surge.CellCSPOT, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !attached.Attached() || attached.Shards() != 3 {
-		t.Fatalf("attached: Attached()=%v Shards()=%d", attached.Attached(), attached.Shards())
-	}
-	if _, err := attached.Push(objs[0]); err == nil {
-		t.Fatal("attached detectors must reject stream mutations")
-	}
-	topkEqualBitwise(t, "attach seed", attached.BestK(), reference.BestK())
-	for start := third; start < len(objs); start += 89 {
-		end := min(start+89, len(objs))
-		if _, err := parent.PushBatch(objs[start:end]); err != nil {
-			t.Fatal(err)
-		}
-		want, err := reference.PushBatch(objs[start:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		topkEqualBitwise(t, "attached vs standalone", attached.BestK(), want)
-	}
-	// Parent Close freezes the attached answer.
-	final := copyResults(attached.BestK())
-	if err := parent.Close(); err != nil {
-		t.Fatal(err)
-	}
-	topkEqualBitwise(t, "after parent Close", attached.BestK(), final)
-	if err := attached.Close(); err != nil {
-		t.Fatal(err)
-	}
-	topkEqualBitwise(t, "after Close", attached.BestK(), final)
-}
-
-// TestAttachTopKShardedDetach pins the detach path: closing an attached
-// chain-backed detector stops its maintenance while the parent keeps
-// serving, and a second attach starts fresh.
-func TestAttachTopKShardedDetach(t *testing.T) {
-	const k = 3
-	objs := shardStream(5, 900, 8)
-	o := opts()
-	o.Shards = 2
-	parent, err := surge.New(surge.CellCSPOT, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parent.Close()
-	first, err := parent.AttachTopK(surge.CellCSPOT, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parent.PushBatch(objs[:300]); err != nil {
-		t.Fatal(err)
-	}
-	frozen := copyResults(first.BestK())
-	if err := first.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parent.PushBatch(objs[300:600]); err != nil {
-		t.Fatal(err)
-	}
-	// The detached detector's answer does not move with the stream.
-	topkEqualBitwise(t, "detached", first.BestK(), frozen)
-	second, err := parent.AttachTopK(surge.CellCSPOT, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference, err := surge.NewTopK(surge.CellCSPOT, opts(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reference.PushBatch(objs[:600]); err != nil {
-		t.Fatal(err)
-	}
-	topkEqualBitwise(t, "re-attach", second.BestK(), reference.BestK())
-	if _, err := parent.PushBatch(objs[600:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reference.PushBatch(objs[600:]); err != nil {
-		t.Fatal(err)
-	}
-	topkEqualBitwise(t, "re-attach stream", second.BestK(), reference.BestK())
-}

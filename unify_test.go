@@ -7,15 +7,16 @@ import (
 	"surge"
 )
 
-// TestServeFromChainEquivalence is the unification guarantee behind
-// AttachTopKBest: with a maintained top-k chain serving Best, every answer
-// must stay bitwise identical to the engine-served answer — across shard
-// counts, when the chain is attached mid-stream, and across a
-// checkpoint→restore cycle that re-attaches the chain. The reference run is
-// additionally pinned against the pre-change fixture (see
-// pinned_unify_test.go), so "equivalent" means equivalent to the answers
-// the dual-engine layout produced before the refactor, not merely
-// self-consistent.
+// TestServeFromChainEquivalence is the guarantee behind serving a query
+// from one standalone top-k chain: its rank 1 must stay bitwise identical
+// to the engine-served answer — across shard counts, across a
+// checkpoint→restore cycle (RestoreTopKSharded, as the server restores), and
+// through the AttachTopKBest shim taking over a running detector
+// mid-stream. The reference run is additionally pinned against the
+// pre-change fixture (see pinned_unify_test.go), so "equivalent" means
+// equivalent to the answers the dual-engine layout produced before the
+// refactor, not merely self-consistent. The pinned stream has no equal-score
+// ties at rank 1; under such a tie the chain may pick another region.
 func TestServeFromChainEquivalence(t *testing.T) {
 	objs := pinnedStream()
 	nBatches := (len(objs) + pinnedBatch - 1) / pinnedBatch
@@ -45,24 +46,17 @@ func TestServeFromChainEquivalence(t *testing.T) {
 		opts.Shards = shards
 
 		t.Run(fmt.Sprintf("chain-attached-at-boot/shards=%d", shards), func(t *testing.T) {
-			d, err := surge.New(surge.CellCSPOT, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d.Close()
-			td, err := d.AttachTopKBest(surge.CellCSPOT, pinnedK)
+			td, err := surge.NewTopK(surge.CellCSPOT, opts, pinnedK)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer td.Close()
 			for b, i := 0, 0; i < len(objs); b, i = b+1, i+pinnedBatch {
-				if _, err := d.PushBatch(objs[i:min(i+pinnedBatch, len(objs))]); err != nil {
+				top, err := td.PushBatch(objs[i:min(i+pinnedBatch, len(objs))])
+				if err != nil {
 					t.Fatal(err)
 				}
-				if got := d.Best(); got != want[b] {
-					t.Fatalf("batch %d: chain-served %+v != engine-served %+v", b, got, want[b])
-				}
-				if top := td.BestK(); len(top) > 0 && top[0] != want[b] {
+				if top[0] != want[b] {
 					t.Fatalf("batch %d: chain rank-1 %+v != engine-served %+v", b, top[0], want[b])
 				}
 			}
@@ -76,8 +70,8 @@ func TestServeFromChainEquivalence(t *testing.T) {
 			defer d.Close()
 			for b, i := 0, 0; i < len(objs); b, i = b+1, i+pinnedBatch {
 				if b == attachAt {
-					// The chain seeds from the live windows and takes over
-					// Best serving from this point on.
+					// The shim restores the live windows into a chain that
+					// serves Best from this point on.
 					td, err := d.AttachTopKBest(surge.CellCSPOT, pinnedK)
 					if err != nil {
 						t.Fatal(err)
@@ -97,53 +91,40 @@ func TestServeFromChainEquivalence(t *testing.T) {
 		})
 
 		t.Run(fmt.Sprintf("snapshot-restore/shards=%d", shards), func(t *testing.T) {
-			d, err := surge.New(surge.CellCSPOT, opts)
+			td, err := surge.NewTopK(surge.CellCSPOT, opts, pinnedK)
 			if err != nil {
 				t.Fatal(err)
-			}
-			td, err := d.AttachTopKBest(surge.CellCSPOT, pinnedK)
-			if err != nil {
-				t.Fatal(err)
-			}
-			closeBoth := func() {
-				td.Close()
-				d.Close()
 			}
 			for b, i := 0, 0; i < len(objs); b, i = b+1, i+pinnedBatch {
 				if b == restoreAt {
-					// Checkpoint the serving detector, rebuild from the
-					// bytes with the same shard count, re-attach the serving
-					// chain, and keep streaming: answers must not notice.
-					ckpt, err := d.Checkpoint()
-					if err != nil {
-						closeBoth()
-						t.Fatal(err)
-					}
-					closeBoth()
-					d, err = surge.RestoreSharded(surge.CellCSPOT, ckpt, shards, 0)
+					// Checkpoint the serving chain, rebuild it from the bytes
+					// with the same shard count and keep streaming: answers
+					// must not notice.
+					ckpt, err := td.Checkpoint()
+					td.Close()
 					if err != nil {
 						t.Fatal(err)
 					}
-					td, err = d.AttachTopKBest(surge.CellCSPOT, pinnedK)
+					td, err = surge.RestoreTopKSharded(surge.CellCSPOT, ckpt, pinnedK, shards, 0)
 					if err != nil {
-						d.Close()
 						t.Fatal(err)
 					}
-					if got := d.Best(); got != want[b-1] {
-						closeBoth()
+					if got := td.BestK()[0]; got != want[b-1] {
+						td.Close()
 						t.Fatalf("restore at batch %d: %+v != engine-served %+v", b, got, want[b-1])
 					}
 				}
-				if _, err := d.PushBatch(objs[i:min(i+pinnedBatch, len(objs))]); err != nil {
-					closeBoth()
+				top, err := td.PushBatch(objs[i:min(i+pinnedBatch, len(objs))])
+				if err != nil {
+					td.Close()
 					t.Fatal(err)
 				}
-				if got := d.Best(); got != want[b] {
-					closeBoth()
-					t.Fatalf("batch %d (restore at %d): %+v != engine-served %+v", b, restoreAt, got, want[b])
+				if top[0] != want[b] {
+					td.Close()
+					t.Fatalf("batch %d (restore at %d): %+v != engine-served %+v", b, restoreAt, top[0], want[b])
 				}
 			}
-			closeBoth()
+			td.Close()
 		})
 	}
 }
