@@ -68,7 +68,7 @@ type checkpointObject struct {
 // checkpointing does not reallocate the object list.
 func buildCheckpointObjects(scratch []checkpointObject, win window.Source) []checkpointObject {
 	scratch = scratch[:0]
-	win.Each(func(o core.Object, _ bool) {
+	win.Each(0, func(o core.Object, _ bool) {
 		scratch = append(scratch, checkpointObject{X: o.X, Y: o.Y, Weight: o.Weight, Time: o.T, Seq: o.ID})
 	})
 	return scratch

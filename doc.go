@@ -327,9 +327,25 @@
 // clamp against the restored stream clock and recovers bit-identical
 // state. Boot loads the newest checkpoint (surge.ckpt, written atomically:
 // temp file, fsync, rename, directory fsync), replays the log tail past
-// its LSN through the normal ingest path, and truncates at the first torn
-// record — a partially written tail from a crash mid-append, counted in
-// /healthz as wal_torn_bytes. A background checkpoint (surged
+// its LSN, and truncates at the first torn record — a partially written
+// tail from a crash mid-append, counted in /healthz as wal_torn_bytes.
+//
+// Replay is one event-loop operation. Unsequenced records go through
+// TopKDetector.Replay, which holds new objects back from the chain until
+// the next read; Ingest-Seq records are applied exactly, because the
+// dedupe table stores their acks. Recovery therefore pays window time for
+// the whole log and chain time only for the objects still live at its end
+// (or at a sequenced record). Three things follow. The recovered answers
+// are those of a checkpoint restore of the same live set: bitwise the
+// same scores, and the same regions except among exactly equal scores.
+// Replay publishes one notification per query, at its end (SSE ids
+// restart under a new epoch at every boot anyway). The engine counters of
+// /v1/stats (events, cells touched, searches) count the chains' real
+// work, so they read lower after a recovery. Replay is not ingest either:
+// it reports itself only through surge_wal_recovery_*, and
+// last_ingest_age_sec stays -1 until a client ingests.
+//
+// A background checkpoint (surged
 // -checkpoint-every) persists the detector state plus the ingest dedupe
 // table and deletes the log segments it covers, bounding both recovery
 // time and disk growth; graceful shutdown writes a final checkpoint so the

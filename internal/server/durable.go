@@ -9,6 +9,7 @@ import (
 	mrand "math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +25,7 @@ import (
 // segment files logging every acknowledged ingest batch, and surge.ckpt,
 // the newest durable checkpoint (detector state + covered WAL position +
 // ingest dedupe table). Boot loads the checkpoint, replays the WAL tail
-// through the normal ingest path and resumes exactly where the
-// acknowledged stream left off.
+// (replayLog) and resumes exactly where the acknowledged stream left off.
 type DurableConfig struct {
 	// Dir is the data directory (required; created if missing).
 	Dir string
@@ -108,9 +108,9 @@ type seqEntry struct {
 
 // NewDurable builds a durable server: load the newest checkpoint from
 // dc.Dir, open the WAL (truncating any torn tail), replay the tail on top
-// of the checkpoint through the normal batch-apply path, and attach the
-// log so every subsequent acknowledged ingest batch is appended before its
-// 200 goes out. The caller must not serve HTTP until NewDurable returns —
+// of the checkpoint in one event-loop op (replayLog), and attach the log so
+// every subsequent acknowledged ingest batch is appended before its 200
+// goes out. The caller must not serve HTTP until NewDurable returns —
 // replay assumes the ingest path is idle.
 func NewDurable(cfg Config, dc DurableConfig) (*Server, error) {
 	if dc.Dir == "" {
@@ -190,28 +190,15 @@ func NewDurable(cfg Config, dc DurableConfig) (*Server, error) {
 		}
 	}
 	t0 := time.Now()
-	rerr := wlog.Replay(after, func(lsn uint64, payload []byte) error {
-		src, seq, chunk, objs, derr := decodeWALRecord(payload)
-		if derr != nil {
-			return fmt.Errorf("server: wal record %d: %w", lsn, derr)
-		}
-		if err := s.do(func() {
-			// Replay reproduces the original apply bit-for-bit: the record
-			// holds the pre-clamp objects and the clamp depends only on the
-			// stream clock, which the checkpoint restored. A batch whose
-			// apply failed originally fails identically here, leaving the
-			// same state either way.
-			res, c, aerr := s.applyBatch(objs)
-			if aerr == nil {
-				s.noteSeqApplied(src, seq, chunk, len(objs), c, res)
-			}
-		}); err != nil {
-			return err
-		}
-		ws.recBatches++
-		ws.recObjects += uint64(len(objs))
-		return nil
-	})
+	// The whole replay is one event-loop op, submitted bare: boot replay is
+	// no client request, so it stays out of the queue-wait histogram. A
+	// panic escaping it leaves rerr at errReplayAborted.
+	rerr, ran := errReplayAborted, make(chan struct{})
+	s.reqs <- func() {
+		defer close(ran)
+		rerr = s.replayLog(wlog, after, ws)
+	}
+	<-ran
 	if rerr != nil {
 		s.Close()
 		wlog.Close()
@@ -240,6 +227,52 @@ func NewDurable(cfg Config, dc DurableConfig) (*Server, error) {
 	return s, nil
 }
 
+var errReplayAborted = errors.New("server: wal replay aborted")
+
+// replayLog re-applies the WAL after the checkpoint, on the event loop.
+// Every record reproduces the original window state bit-for-bit: it holds
+// the pre-clamp objects, the clamp depends only on the restored stream
+// clock, and a batch whose apply failed fails identically. Unsequenced
+// records go through the chains' Replay, so an object that expires before
+// the end of the log costs no chain work; an Ingest-Seq record is applied
+// exactly, because the dedupe table stores its ack. At the end every slot
+// reads its chain once and every query publishes once.
+func (s *Server) replayLog(wlog *wal.Log, after uint64, ws *walState) error {
+	var objs []surge.Object
+	err := wlog.Replay(after, func(lsn uint64, payload []byte) error {
+		// The decode buffer is reused across records: nothing retains it,
+		// because the window copies objects into its queues and a clamping
+		// slot copies the chunk into its own scratch.
+		src, seq, chunk, rec, derr := decodeWALRecord(payload, objs)
+		if objs = rec; derr != nil {
+			return fmt.Errorf("server: wal record %d: %w", lsn, derr)
+		}
+		if src == "" {
+			s.applyBatch(rec, quietBatch)
+		} else if res, c, aerr := s.applyBatch(rec, replayBatch); aerr == nil {
+			s.noteSeqApplied(src, seq, chunk, len(rec), c, res)
+		}
+		ws.recBatches++
+		ws.recObjects += uint64(len(rec))
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, sl := range s.slots {
+		if sl.failed == nil {
+			sl.read()
+		}
+	}
+	for _, t := range s.order {
+		sl := t.slot.Load()
+		s.publishTenant(t, sl)
+		s.refreshTenantTopK(t, sl)
+	}
+	s.statNow.Store(math.Float64bits(s.clock))
+	return nil
+}
+
 // applyLogged runs on the event loop: append the chunk to the WAL (when
 // one is attached), then apply it. The append happens first and its error
 // aborts the apply, so a 200 is only ever sent for a batch the log holds —
@@ -262,7 +295,7 @@ func (s *Server) applyLogged(objs []surge.Object, src string, seq uint64, chunk 
 			return surge.Result{}, 0, fmt.Errorf("%w: %w", errDegraded, err)
 		}
 	}
-	return s.applyBatch(objs)
+	return s.applyBatch(objs, ingestBatch)
 }
 
 // errDegraded marks ingest shed while durability is lost: the WAL cannot
@@ -644,9 +677,13 @@ func encodeWALRecord(buf []byte, src string, seq uint64, chunk uint32, objs []su
 
 var errBadWALRecord = errors.New("truncated or malformed record")
 
-func decodeWALRecord(b []byte) (src string, seq uint64, chunk uint32, objs []surge.Object, err error) {
+// decodeWALRecord decodes a record, appending its objects to dst[:0] and
+// returning the extended slice, so a caller decoding many records reuses
+// one buffer. On error the objects are dst[:0].
+func decodeWALRecord(b []byte, dst []surge.Object) (src string, seq uint64, chunk uint32, objs []surge.Object, err error) {
+	objs = dst[:0]
 	fail := func() (string, uint64, uint32, []surge.Object, error) {
-		return "", 0, 0, nil, errBadWALRecord
+		return "", 0, 0, objs, errBadWALRecord
 	}
 	if len(b) < 1 || b[0] != walRecordVersion {
 		return fail()
@@ -679,15 +716,14 @@ func decodeWALRecord(b []byte) (src string, seq uint64, chunk uint32, objs []sur
 	if uint64(len(b))%32 != 0 || uint64(len(b))/32 != cnt {
 		return fail()
 	}
-	objs = make([]surge.Object, cnt)
-	for i := range objs {
-		objs[i] = surge.Object{
+	objs = slices.Grow(objs, int(cnt))
+	for ; len(b) > 0; b = b[32:] {
+		objs = append(objs, surge.Object{
 			Time:   math.Float64frombits(binary.LittleEndian.Uint64(b[0:8])),
 			X:      math.Float64frombits(binary.LittleEndian.Uint64(b[8:16])),
 			Y:      math.Float64frombits(binary.LittleEndian.Uint64(b[16:24])),
 			Weight: math.Float64frombits(binary.LittleEndian.Uint64(b[24:32])),
-		}
-		b = b[32:]
+		})
 	}
 	return src, seq, chunk, objs, nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"surge"
 	"surge/client"
+	"surge/internal/obs"
 	"surge/internal/wal"
 )
 
@@ -291,7 +292,7 @@ func TestDecodeWALRecordCorruptCount(t *testing.T) {
 	buf = binary.AppendUvarint(buf, 0)     // sequence
 	buf = binary.AppendUvarint(buf, 0)     // chunk
 	buf = binary.AppendUvarint(buf, 1<<59) // cnt*32 wraps to 0 == len(rest)
-	if _, _, _, _, err := decodeWALRecord(buf); !errors.Is(err, errBadWALRecord) {
+	if _, _, _, _, err := decodeWALRecord(buf, nil); !errors.Is(err, errBadWALRecord) {
 		t.Fatalf("want errBadWALRecord, got %v", err)
 	}
 }
@@ -420,5 +421,248 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 	if s.throttled.Load() < 2 {
 		t.Fatalf("throttled counter = %d, want >= 2", s.throttled.Load())
+	}
+}
+
+// recoveryShape is one deployment and traffic shape whose crash recovery
+// must reproduce a plain server fed the same requests.
+type recoveryShape struct {
+	name string
+	cfg  Config
+	// feed sends the shape's requests and returns the last Ingest-Seq
+	// request with its ack (nil when the shape sends none).
+	feed func(t *testing.T, c *client.Client) *seqRequest
+}
+
+// seqRequest is one acknowledged Ingest-Seq request.
+type seqRequest struct {
+	seq  uint64
+	objs []surge.Object
+	ack  *client.IngestResult
+}
+
+// recoveryStream is the shapes' object stream: 900 objects over ~450 time
+// units, 7.5 spans of the 30+30 windows (9 of the 60+40 count windows).
+func recoveryStream() []surge.Object { return testObjects(83, 900, 4) }
+
+// feedPlain sends objs as unsequenced requests of per objects.
+func feedPlain(objs []surge.Object, per int) func(*testing.T, *client.Client) *seqRequest {
+	return func(t *testing.T, c *client.Client) *seqRequest {
+		streamBatches(t, c, objs, per)
+		return nil
+	}
+}
+
+// assertSameQueryAnswers is assertSameAnswers for a named query.
+func assertSameQueryAnswers(t *testing.T, label string, q, ref *client.Query) {
+	t.Helper()
+	ctx := context.Background()
+	st, err := q.Best(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Best(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.Result, want.Result) || st.Now != want.Now || st.Live != want.Live {
+		t.Fatalf("%s: best diverged: got (%+v, now=%v, live=%d) want (%+v, now=%v, live=%d)",
+			label, st.Result, st.Now, st.Live, want.Result, want.Now, want.Live)
+	}
+	tk, err := q.TopK(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wtk, err := ref.TopK(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tk.Results, wtk.Results) {
+		t.Fatalf("%s: topk diverged:\ngot  %+v\nwant %+v", label, tk.Results, wtk.Results)
+	}
+}
+
+func recoveryShapes() []recoveryShape {
+	objs := recoveryStream()
+	late := append([]surge.Object(nil), objs...)
+	for i := 5; i < len(late); i += 9 {
+		late[i].Time -= 4 // a late arrival, lifted to the clock under Clamp
+	}
+	countOpts := surge.Options{Width: 1, Height: 1, Window: 60, PastWindow: 40, Alpha: 0.5, CountWindows: true}
+	return []recoveryShape{
+		{name: "shards=1", cfg: Config{Options: testOptions(1), BatchSize: 64}, feed: feedPlain(objs, 50)},
+		{name: "shards=2", cfg: Config{Options: testOptions(2), BatchSize: 64}, feed: feedPlain(objs, 50)},
+		{name: "clamp-late", cfg: Config{Options: testOptions(1), BatchSize: 64, TimePolicy: Clamp}, feed: feedPlain(late, 50)},
+		{name: "strict-rejected-chunk", cfg: Config{Options: testOptions(1), BatchSize: 64},
+			feed: func(t *testing.T, c *client.Client) *seqRequest {
+				for i := 0; i < len(objs); i += 50 {
+					chunk := objs[i:min(i+50, len(objs))]
+					if i != 400 {
+						streamBatches(t, c, chunk, 50)
+						continue
+					}
+					// An out-of-order object mid-chunk: the objects before it
+					// are applied, the request is rejected, the log holds it.
+					bad := append([]surge.Object(nil), chunk...)
+					bad[25].Time = bad[0].Time - 10
+					if _, err := c.Ingest(context.Background(), bad); err == nil {
+						t.Fatal("strict server accepted an out-of-order object")
+					}
+				}
+				return nil
+			}},
+		{name: "three-query-registry", cfg: Config{Options: testOptions(1), BatchSize: 64, TimePolicy: Clamp,
+			Queries: []client.QueryConfig{{ID: "wide", Width: 2, Window: 45}, {ID: "gaps", Algorithm: "GAPS"}}},
+			feed: feedPlain(late, 50)},
+		{name: "count-windows", cfg: Config{Options: countOpts, BatchSize: 64}, feed: feedPlain(objs, 50)},
+		{name: "mixed-seq", cfg: Config{Options: testOptions(2), BatchSize: 32, TimePolicy: Clamp},
+			feed: func(t *testing.T, c *client.Client) *seqRequest {
+				var last *seqRequest
+				for i, r := 0, 0; i < len(late); i, r = i+50, r+1 {
+					chunk := late[i:min(i+50, len(late))]
+					if r%3 == 0 { // one request in three is unsequenced
+						streamBatches(t, c, chunk, 50)
+						continue
+					}
+					ack, err := c.IngestSeq(context.Background(), "feeder", uint64(r), chunk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					last = &seqRequest{seq: uint64(r), objs: chunk, ack: ack}
+				}
+				if last == nil {
+					t.Fatal("mixed feed sent no Ingest-Seq request")
+				}
+				return last
+			}},
+	}
+}
+
+// TestDurableRecoveryShapes crashes a durable server after a log spanning
+// several windows and requires the recovered server to answer every query
+// as a plain server fed the same requests, and to report the pre-crash
+// counters and clock. Recovery shows each chain only the objects still
+// live, so this pins that the shortcut is invisible in every replay shape:
+// sharded pipelines, clamping, a rejected chunk, the multi-slot pool,
+// count windows, and Ingest-Seq records applied exactly among unsequenced
+// ones.
+func TestDurableRecoveryShapes(t *testing.T) {
+	for _, sh := range recoveryShapes() {
+		t.Run(sh.name, func(t *testing.T) {
+			ctx := context.Background()
+			_, _, ref := newTestServer(t, sh.cfg)
+			sh.feed(t, ref)
+
+			dir := t.TempDir()
+			s1, ts1, c1 := newDurableTestServer(t, dir, sh.cfg, DurableConfig{Sync: wal.SyncOff})
+			last := sh.feed(t, c1)
+			pre, err := c1.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts1.Close()
+			s1.Close() // crash: boot replays the whole log
+
+			s2, _, c2 := newDurableTestServer(t, dir, sh.cfg, DurableConfig{Sync: wal.SyncOff})
+			if s2.wal.recBatches == 0 {
+				t.Fatal("recovery replayed nothing")
+			}
+			if len(s2.slots) != 1+len(sh.cfg.Queries) {
+				t.Fatalf("%d engine slots for %d queries, want one each", len(s2.slots), 1+len(sh.cfg.Queries))
+			}
+			if sh.cfg.TimePolicy == Clamp && pre.Queries[0].Clamped == 0 {
+				t.Fatal("a clamp shape clamped nothing; the test lost its coverage")
+			}
+			assertSameAnswers(t, "default query", c2, ref)
+			for _, q := range sh.cfg.Queries {
+				assertSameQueryAnswers(t, q.ID, c2.Query(q.ID), ref.Query(q.ID))
+			}
+			post, err := c2.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if post.Objects != pre.Objects || post.Now != pre.Now || post.Live != pre.Live ||
+				post.WAL.RecoveredObjects != pre.Objects {
+				t.Fatalf("stats after recovery: objects %d now %v live %d recovered %d; before the crash objects %d now %v live %d",
+					post.Objects, post.Now, post.Live, post.WAL.RecoveredObjects, pre.Objects, pre.Now, pre.Live)
+			}
+			if len(post.Queries) != len(pre.Queries) {
+				t.Fatalf("%d queries after recovery, %d before", len(post.Queries), len(pre.Queries))
+			}
+			for i, q := range post.Queries {
+				p := pre.Queries[i]
+				if q.ID != p.ID || q.Clamped != p.Clamped || q.Live != p.Live || q.Now != p.Now {
+					t.Fatalf("query %q after recovery: clamped %d live %d now %v; before: clamped %d live %d now %v",
+						q.ID, q.Clamped, q.Live, q.Now, p.Clamped, p.Live, p.Now)
+				}
+			}
+
+			if last != nil {
+				// The retry of the last sequenced request, whose ack could
+				// have been lost in the crash, replays the original ack
+				// without re-applying anything.
+				ack, err := c2.IngestSeq(ctx, "feeder", last.seq, last.objs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ack, last.ack) {
+					t.Fatalf("replayed ack differs across the crash:\nfirst  %+v\nretry  %+v", last.ack, ack)
+				}
+				if got := s2.objects.Load(); got != pre.Objects {
+					t.Fatalf("retry after recovery re-applied data: objects %d -> %d", pre.Objects, got)
+				}
+			}
+		})
+	}
+}
+
+// TestDurableReplayIsNoIngest pins that boot replay does not pose as live
+// ingest: it adds no sample to the ingest and loop histograms (obs.Default
+// is process-wide, so the test compares counts across the boot), and a
+// recovered server nobody has fed reports last_ingest_age_sec = -1. It
+// reports itself through the WAL recovery fields instead.
+func TestDurableReplayIsNoIngest(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Options: testOptions(1), BatchSize: 32, TimePolicy: Clamp}
+	s1, ts1, c1 := newDurableTestServer(t, dir, cfg, DurableConfig{Sync: wal.SyncOff})
+	streamBatches(t, c1, recoveryStream(), 40)
+	// A sequenced record too: replay applies it exactly, still no ingest.
+	if _, err := c1.IngestSeq(context.Background(), "feeder", 1, testObjects(89, 40, 4)); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	s1.Close()
+
+	hists := map[string]*obs.Histogram{
+		"apply":      s1.mApply,
+		"batch":      s1.mBatchObjs,
+		"queue_wait": s1.mQueueWait,
+	}
+	before := map[string]uint64{}
+	for name, h := range hists {
+		before[name] = h.Count()
+	}
+	s2, _, c2 := newDurableTestServer(t, dir, cfg, DurableConfig{Sync: wal.SyncOff})
+	for name, h := range hists {
+		if got := h.Count(); got != before[name] {
+			t.Errorf("%s histogram: %d samples after the boot, %d before", name, got, before[name])
+		}
+	}
+	if s2.wal.recBatches == 0 {
+		t.Fatal("recovery replayed nothing")
+	}
+	h, err := c2.Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.LastIngestAgeSec != -1 || h.RecoveredBatches != s2.wal.recBatches {
+		t.Fatalf("health after recovery: last_ingest_age_sec %v (want -1), recovered batches %d (want %d)",
+			h.LastIngestAgeSec, h.RecoveredBatches, s2.wal.recBatches)
+	}
+	if _, err := c2.Ingest(context.Background(), []surge.Object{{X: 1, Y: 1, Weight: 1, Time: 1e6}}); err != nil {
+		t.Fatal(err)
+	}
+	if h, err = c2.Health(context.Background()); err != nil || h.LastIngestAgeSec < 0 {
+		t.Fatalf("health after the first ingest: last_ingest_age_sec %v, err %v", h.LastIngestAgeSec, err)
 	}
 }

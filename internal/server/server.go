@@ -449,15 +449,16 @@ func (s *Server) probeLag() {
 }
 
 // noteBatch runs on the event loop after a batch lands on every slot:
-// stamp the ingest clock, refresh the global mirrors, price the apply and
-// log the first degraded-mode transition.
+// stamp the ingest clock and price the apply (an ingest batch that did not
+// panic: t0 is nonzero), refresh the global mirrors and log the first
+// degraded-mode transition.
 func (s *Server) noteBatch(t0 time.Time, err error) {
-	now := time.Now()
-	s.lastIngestNano.Store(now.UnixNano())
-	s.statNow.Store(math.Float64bits(s.clock))
-	if !t0.IsZero() { // zero: the apply panicked, there is no duration to price
+	if !t0.IsZero() {
+		now := time.Now()
+		s.lastIngestNano.Store(now.UnixNano())
 		s.mApply.Observe(now.Sub(t0))
 	}
+	s.statNow.Store(math.Float64bits(s.clock))
 	if err != nil && !s.degradedOnce {
 		s.degradedOnce = true
 		s.log.Error("pipeline degraded: batch apply failed, the failed query serves stale answers", "err", err)
@@ -739,18 +740,29 @@ func (s *Server) putChunk(c *[]surge.Object) {
 // 500, and the failed query serves its last good answer from then on.
 var errPipeline = errors.New("server: pipeline failed")
 
+// batchMode says who drives a batch. Only live ingest publishes answers
+// and feeds the ingest histograms and clock; boot replay publishes once at
+// its end (replayLog).
+type batchMode uint8
+
+const (
+	ingestBatch batchMode = iota // live ingest
+	replayBatch                  // boot replay, applied exactly (an Ingest-Seq record)
+	quietBatch                   // boot replay through TopKDetector.Replay: no read
+)
+
 // applyBatch runs on the event loop: fan the shared batch out to every
 // engine slot over the worker pool, wait at the barrier, then publish each
 // tenant's answer if it changed. The chunk itself is read-only across
 // slots (a slot that must clamp timestamps copies to private scratch), so
-// one parse serves the whole registry.
+// one parse serves the whole registry. The counters count every mode.
 //
 // Failure isolation: a slot whose apply fails or panics keeps serving its
 // last good state and its tenants see no publication for the batch; the
 // other slots publish normally. The ingest ack fails only when no slot
 // accepted the batch — with a single registered query this reproduces the
 // single-detector server's semantics exactly.
-func (s *Server) applyBatch(objs []surge.Object) (res surge.Result, clamped int, err error) {
+func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Result, clamped int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, clamped = surge.Result{}, 0
@@ -760,17 +772,20 @@ func (s *Server) applyBatch(objs []surge.Object) (res surge.Result, clamped int,
 			s.noteBatch(time.Time{}, err)
 		}
 	}()
-	t0 := time.Now()
-	s.mBatchObjs.Record(uint64(len(objs)))
-	policy := s.cfg.TimePolicy
+	var t0 time.Time
+	if mode == ingestBatch {
+		t0 = time.Now()
+		s.mBatchObjs.Record(uint64(len(objs)))
+	}
+	policy, quiet := s.cfg.TimePolicy, mode == quietBatch
 	if len(s.slots) == 1 {
 		// Single-slot registry: apply inline, no pool hop — the dominant
 		// deployment stays on the legacy zero-overhead path.
-		s.slots[0].apply(objs, policy)
+		s.slots[0].apply(objs, policy, quiet)
 	} else {
 		for _, sl := range s.slots {
 			sl := sl
-			s.pool.Submit(sl.worker, func() { sl.apply(objs, policy) })
+			s.pool.Submit(sl.worker, func() { sl.apply(objs, policy, quiet) })
 		}
 		s.pool.Wait()
 	}
@@ -797,8 +812,10 @@ func (s *Server) applyBatch(objs []surge.Object) (res surge.Result, clamped int,
 		if sl.pendClamped > 0 {
 			t.clamped.Add(uint64(sl.pendClamped))
 		}
-		s.publishTenant(t, sl)
-		s.refreshTenantTopK(t, sl)
+		if mode == ingestBatch {
+			s.publishTenant(t, sl)
+			s.refreshTenantTopK(t, sl)
+		}
 	}
 	d := s.defTenant.slot.Load()
 	if !d.pendPanicked {

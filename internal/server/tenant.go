@@ -118,10 +118,12 @@ type engineSlot struct {
 // apply runs on the slot's pool worker (or inline on the loop when the
 // registry holds a single slot): apply the time policy against this slot's
 // own clock, push the batch, refresh the top-k snapshot and the stat
-// mirrors. A panic — an engine bug tripped by this batch — is recovered
-// into pendErr/pendPanicked so one broken tenant engine never takes the
-// worker, the loop, or the other tenants down.
-func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
+// mirrors. A quiet apply — boot replay of an unsequenced WAL record — goes
+// through TopKDetector.Replay instead and reads nothing: the chain catches
+// up at the slot's next read. A panic — an engine bug tripped by this
+// batch — is recovered into pendErr/pendPanicked so one broken tenant
+// engine never takes the worker, the loop, or the other tenants down.
+func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy, quiet bool) {
 	sl.pendClamped, sl.pendErr, sl.pendPanicked = 0, sl.failed, sl.failed != nil
 	if sl.failed != nil {
 		return
@@ -161,7 +163,13 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
 			}
 		}
 	}
-	res, err := sl.det.PushBatch(use)
+	var res []surge.Result
+	var err error
+	if quiet {
+		err = sl.det.Replay(use)
+	} else {
+		res, err = sl.det.PushBatch(use)
+	}
 	if now := sl.det.Now(); now > sl.clock {
 		sl.clock = now
 	}
@@ -177,12 +185,17 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy) {
 		msg := err.Error()
 		sl.errMsg.Store(&msg)
 	} else {
-		sl.pendRes = res[0]
+		if !quiet {
+			sl.pendRes = res[0]
+		}
 		// errMsg mirrors the newest apply's outcome: a per-batch window
 		// error (invisible in the shared ingest ack when another slot
 		// succeeded) surfaces in this query's stats until a batch applies
 		// cleanly again; sticky pipeline errors re-store every batch.
 		sl.errMsg.Store(nil)
+	}
+	if quiet {
+		return
 	}
 	sl.refreshTopKLocal()
 	sl.statNow.Store(math.Float64bits(sl.clock))
@@ -302,15 +315,20 @@ func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, clock: det.Now()}
-	sl.refreshTopKLocal() // BestK has k >= 1 slots, so the first call always builds tkSnap
-	sl.pendRes = sl.lastTopK[0]
-	sl.pendNow = det.Now()
-	sl.statShards = det.Shards()
-	sl.statNow.Store(math.Float64bits(sl.clock))
-	sl.statLive.Store(uint64(det.Live()))
-	sl.refreshEngineStats(time.Now())
+	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, clock: det.Now(), statShards: det.Shards()}
+	sl.read() // BestK has k >= 1 slots, so the first call always builds tkSnap
 	return sl, nil
+}
+
+// read refreshes the slot's answer, top-k snapshot and stat mirrors from its
+// chain: when the slot is built, and once at the end of boot replay.
+func (sl *engineSlot) read() {
+	sl.refreshTopKLocal()
+	sl.pendRes = sl.lastTopK[0]
+	sl.pendNow = sl.det.Now()
+	sl.statNow.Store(math.Float64bits(sl.clock))
+	sl.statLive.Store(uint64(sl.det.Live()))
+	sl.refreshEngineStats(time.Now())
 }
 
 // newTenant binds a tenant to a slot. Runs at boot or on the event loop.

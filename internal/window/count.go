@@ -38,9 +38,9 @@ func (e *CountEngine) Now() float64 { return e.now }
 func (e *CountEngine) Live() int { return e.cur.len() + e.past.len() }
 
 // Each implements Source: the past window holds the older objects.
-func (e *CountEngine) Each(fn func(o core.Object, past bool)) {
-	e.past.each(fn, true)
-	e.cur.each(fn, false)
+func (e *CountEngine) Each(from uint64, fn func(o core.Object, past bool)) {
+	e.past.each(from, fn, true)
+	e.cur.each(from, fn, false)
 }
 
 // Push feeds one object: it enters the current window (New); if the current

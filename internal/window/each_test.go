@@ -44,13 +44,26 @@ func checkEach(t *testing.T, src Source, ref liveRef, when string) {
 		return cmp.Compare(a.obj.ID, b.obj.ID)
 	})
 	var got []liveEntry
-	src.Each(func(o core.Object, past bool) { got = append(got, liveEntry{o, past}) })
+	src.Each(0, func(o core.Object, past bool) { got = append(got, liveEntry{o, past}) })
 	if len(got) != src.Live() {
 		t.Fatalf("%s: Each yielded %d objects, Live() = %d", when, len(got), src.Live())
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: Each yielded %d objects, want %d; first difference at %d",
 			when, len(got), len(want), firstDiff(got, want))
+	}
+	// A walk from an ID yields exactly the live suffix from that ID on:
+	// from 0, from a middle object, and from one past the newest.
+	for _, i := range []int{0, len(want) / 3, len(want)} {
+		from := uint64(0)
+		if i > 0 {
+			from = want[i-1].obj.ID + 1
+		}
+		var suffix []liveEntry
+		src.Each(from, func(o core.Object, past bool) { suffix = append(suffix, liveEntry{o, past}) })
+		if !slices.Equal(suffix, want[i:]) {
+			t.Fatalf("%s: Each from ID %d yielded %d objects, want %d", when, from, len(suffix), len(want)-i)
+		}
 	}
 }
 

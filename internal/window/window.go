@@ -15,8 +15,10 @@
 package window
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"surge/internal/core"
 )
@@ -36,10 +38,13 @@ type Source interface {
 	Now() float64
 	// Live returns the number of objects inside the windows.
 	Live() int
-	// Each calls fn for every live object in arrival (= ID) order; past
-	// reports whether the object has already moved from Wc into Wp. The
-	// queues are the live set: checkpoints and top-k seeding walk them.
-	Each(fn func(o core.Object, past bool))
+	// Each calls fn for every live object with ID >= from in arrival (= ID)
+	// order; past reports whether the object has already moved from Wc into
+	// Wp. The queues are the live set: checkpoints walk it from 0, and a
+	// top-k detector catching its chain up walks only the objects it held
+	// back. Both queues are ID-ordered, so the start is a binary search and
+	// the walk costs O(log live + objects visited).
+	Each(from uint64, fn func(o core.Object, past bool))
 }
 
 // Engine generates window-transition events from a time-ordered object
@@ -72,9 +77,9 @@ func (e *Engine) Live() int { return e.count }
 
 // Each implements Source: every object of expired (in Wp) arrived before
 // every object of grown (still in Wc), and each queue is in arrival order.
-func (e *Engine) Each(fn func(o core.Object, past bool)) {
-	e.expired.each(fn, true)
-	e.grown.each(fn, false)
+func (e *Engine) Each(from uint64, fn func(o core.Object, past bool)) {
+	e.expired.each(from, fn, true)
+	e.grown.each(from, fn, false)
 }
 
 // Push advances the clock to o.T and feeds the object into the stream. All
@@ -194,8 +199,12 @@ func (q *queue) pop() (core.Object, bool) {
 
 func (q *queue) len() int { return len(q.items) - q.head }
 
-func (q *queue) each(fn func(o core.Object, past bool), past bool) {
-	for _, o := range q.items[q.head:] {
+// each calls fn for every queued object with ID >= from; the queue is in
+// arrival order, so IDs ascend.
+func (q *queue) each(from uint64, fn func(o core.Object, past bool), past bool) {
+	live := q.items[q.head:]
+	i, _ := slices.BinarySearchFunc(live, from, func(o core.Object, id uint64) int { return cmp.Compare(o.ID, id) })
+	for _, o := range live[i:] {
 		fn(o, past)
 	}
 }

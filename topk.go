@@ -38,11 +38,16 @@ type TopKDetector struct {
 
 	finalStats Stats // merged stats captured at Close (sharded path)
 
+	// lag is the first object Replay held back from the chain, 0 when the
+	// chain holds every live object. Held-back objects are the newest ones
+	// (IDs >= lag); catchUp shows the chain those still live.
+	lag uint64
+
 	// Emit callbacks captured once; binding a method value per Push would
 	// put a closure allocation on the per-object hot path.
-	stepFn    func(core.Event)
-	processFn func(core.Event)
-	routeFn   func(core.Event)
+	stepFn  func(core.Event)
+	chainFn func(core.Event) // the engine's Process, or the pipeline's Route
+	holdFn  func(core.Event)
 }
 
 // newTopKEngine builds the top-k engine for an algorithm. Supported:
@@ -111,20 +116,21 @@ func NewTopK(alg Algorithm, opt Options, k int) (*TopKDetector, error) {
 		blkCols: opt.ShardBlockCols,
 	}
 	d.stepFn = d.step
+	d.holdFn = d.hold
 	if opt.Shards >= 2 {
 		d.pipe, d.chain, err = shard.NewTopK(cfg, opt.Shards, opt.ShardBlockCols, shard.Params{}, k,
 			func(scfg core.Config) (core.TopKShard, error) { return newTopKShardEngine(alg, scfg, k) })
 		if err != nil {
 			return nil, err
 		}
-		d.routeFn = d.pipe.Route
+		d.chainFn = d.pipe.Route
 		return d, nil
 	}
 	d.eng, err = newTopKEngine(alg, cfg, k)
 	if err != nil {
 		return nil, err
 	}
-	d.processFn = d.eng.Process
+	d.chainFn = d.eng.Process
 	return d, nil
 }
 
@@ -211,6 +217,7 @@ func (d *TopKDetector) Close() error {
 	if d.closed {
 		return nil
 	}
+	d.catchUp()
 	d.closed = true
 	if d.pipe == nil {
 		return nil
@@ -232,24 +239,32 @@ func (d *TopKDetector) Push(o Object) ([]Result, error) {
 		return nil, ErrClosed
 	}
 	if d.pipe != nil {
-		return d.pushSharded([]Object{o})
+		return d.PushBatch([]Object{o})
 	}
-	_, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, d.stepFn)
-	if err != nil {
+	d.catchUp()
+	if err := d.feed([]Object{o}, d.stepFn); err != nil {
 		return nil, err
 	}
 	return d.results(), nil
 }
 
-// pushSharded routes a batch into the shard workers and synchronises on the
-// cross-shard chain once at the end.
-func (d *TopKDetector) pushSharded(objs []Object) ([]Result, error) {
+// feed pushes objs into the windows, emitting their transitions to emit,
+// and stops at the first offending object.
+func (d *TopKDetector) feed(objs []Object, emit func(core.Event)) error {
 	for _, o := range objs {
-		if _, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, d.routeFn); err != nil {
-			return nil, err
+		if _, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, emit); err != nil {
+			return err
 		}
 	}
-	if err := d.refreshFromChain(); err != nil {
+	return nil
+}
+
+// refresh reads the chain's answer once at the end of a push: the
+// cross-shard greedy merge on the sharded path.
+func (d *TopKDetector) refresh() ([]Result, error) {
+	if d.pipe == nil {
+		d.cur = d.eng.BestK()
+	} else if err := d.refreshFromChain(); err != nil {
 		return nil, err
 	}
 	return d.results(), nil
@@ -280,16 +295,55 @@ func (d *TopKDetector) PushBatch(objs []Object) ([]Result, error) {
 	if d.closed {
 		return nil, ErrClosed
 	}
-	if d.pipe != nil {
-		return d.pushSharded(objs)
+	d.catchUp()
+	if err := d.feed(objs, d.chainFn); err != nil {
+		return nil, err
 	}
-	for _, o := range objs {
-		if _, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, d.processFn); err != nil {
-			return nil, err
+	return d.refresh()
+}
+
+// Replay is PushBatch for log recovery: the windows advance exactly as
+// PushBatch advances them (same validation, same stop at an offending
+// object), but the new objects are held back from the chain, which sees
+// none of their New, Grown and Expired events. The next Push, PushBatch,
+// AdvanceTo, BestK, Stats or Close first shows the chain every held-back
+// object still live — New, then Grown if it is already past Wc, in arrival
+// order — so an object that expires before anyone reads an answer costs no
+// chain work. The answer is then that of a RestoreTopK of the same live
+// set: the same scores, and the same regions except among equal scores.
+// Now, Live and Checkpoint read the windows and need no catch-up. After
+// Close it returns ErrClosed.
+func (d *TopKDetector) Replay(objs []Object) error {
+	if d.closed {
+		return ErrClosed
+	}
+	return d.feed(objs, d.holdFn)
+}
+
+// hold is Replay's emit: it marks the first held-back object in lag and
+// drops every event of a held-back object (IDs >= lag).
+func (d *TopKDetector) hold(ev core.Event) {
+	if ev.Kind == core.New && d.lag == 0 {
+		d.lag = ev.Obj.ID
+	}
+	if d.lag == 0 || ev.Obj.ID < d.lag {
+		d.chainFn(ev)
+	}
+}
+
+// catchUp shows the chain the objects Replay held back that are still live.
+// The walk starts at lag, so it costs O(held-back objects), not O(live).
+func (d *TopKDetector) catchUp() {
+	if d.lag == 0 {
+		return
+	}
+	d.win.Each(d.lag, func(o core.Object, past bool) {
+		d.chainFn(core.Event{Kind: core.New, Obj: o})
+		if past {
+			d.chainFn(core.Event{Kind: core.Grown, Obj: o})
 		}
-	}
-	d.cur = d.eng.BestK()
-	return d.results(), nil
+	})
+	d.lag = 0
 }
 
 // AdvanceTo moves the stream clock to t without a new arrival and returns
@@ -299,20 +353,15 @@ func (d *TopKDetector) AdvanceTo(t float64) ([]Result, error) {
 	if d.closed {
 		return nil, ErrClosed
 	}
+	d.catchUp()
+	emit := d.stepFn
 	if d.pipe != nil {
-		if err := d.win.Advance(t, d.routeFn); err != nil {
-			return nil, err
-		}
-		if err := d.refreshFromChain(); err != nil {
-			return nil, err
-		}
-		return d.results(), nil
+		emit = d.chainFn
 	}
-	if err := d.win.Advance(t, d.stepFn); err != nil {
+	if err := d.win.Advance(t, emit); err != nil {
 		return nil, err
 	}
-	d.cur = d.eng.BestK()
-	return d.results(), nil
+	return d.refresh()
 }
 
 func (d *TopKDetector) step(ev core.Event) {
@@ -326,6 +375,7 @@ func (d *TopKDetector) step(ev core.Event) {
 // keeps returning the answer captured then. The returned slice is reused by
 // subsequent calls; copy it to retain.
 func (d *TopKDetector) BestK() []Result {
+	d.catchUp()
 	if d.pipe != nil {
 		if !d.closed {
 			d.refreshFromChain() // on failure, serve the retained answer
@@ -347,6 +397,7 @@ func (d *TopKDetector) Live() int { return d.win.Live() }
 // point; an event replicated into a halo is counted by each shard that
 // received it). After Close the counters captured then are returned.
 func (d *TopKDetector) Stats() Stats {
+	d.catchUp()
 	if d.pipe != nil {
 		if d.closed {
 			return d.finalStats
