@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench-compile race bench bench-smoke
+.PHONY: check fmt vet build test bench-compile race examples bench bench-smoke
 
 check: fmt vet build test bench-compile
 
@@ -28,6 +28,16 @@ bench-compile:
 
 race:
 	$(GO) test -race ./...
+
+# Runs every examples/* main to completion; one that exits non-zero or
+# outlives its 60 s deadline fails the target.
+examples:
+	@bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/" ./examples/... || exit 1; \
+	for ex in "$$bin"/*; do \
+		echo "examples/$$(basename "$$ex")"; \
+		timeout 60 "$$ex" > /dev/null || { echo "examples/$$(basename "$$ex") failed"; exit 1; }; \
+	done
 
 # The served system's benchmark (benchmark/README.md). bench runs ten seeds
 # per workload and compares their medians with the committed baseline;

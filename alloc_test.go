@@ -87,6 +87,46 @@ func TestTopKPushZeroAllocKCCS(t *testing.T) {
 	}
 }
 
+// TestTopKRestorePushZeroAllocKCCS is TestTopKPushZeroAllocKCCS for a chain
+// built by RestoreTopK (in one pass, topk.KCCS.Load) and then fed one span
+// of both windows: the restored engine must reach the same allocation-free
+// steady state as one that grew event by event.
+func TestTopKRestorePushZeroAllocKCCS(t *testing.T) {
+	det, err := surge.NewTopK(surge.CellCSPOT, surge.Options{
+		Width: 1, Height: 1, Window: 16, Alpha: 0.5,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs := [5][2]float64{{0.5, 0.5}, {3.2, 1.7}, {-2.4, 0.9}, {7.9, -3.3}, {0.6, 0.4}}
+	i := 0
+	tm := 0.0
+	push := func() {
+		l := locs[i%len(locs)]
+		i++
+		tm += 0.125
+		if _, err := det.Push(surge.Object{X: l[0], Y: l[1], Weight: 1, Time: tm}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 0; n < 4096; n++ {
+		push()
+	}
+	ckpt, err := det.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if det, err = surge.RestoreTopK(surge.CellCSPOT, ckpt, 3); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 256; n++ { // Wc + Wp at 8 objects per time unit
+		push()
+	}
+	if a := testing.AllocsPerRun(2048, push); a != 0 {
+		t.Fatalf("restored kCCS top-k Push allocates %v allocs/op in steady state, want 0", a)
+	}
+}
+
 // TestAppendCheckpointAllocsDoNotScale guards the checkpoint writer: walking
 // the window queues into the detector's reused scratch and encoding into a
 // recycled buffer costs the encoder's fixed set-up (a few dozen allocations,

@@ -6,9 +6,11 @@ package surge_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"surge"
 	"surge/internal/bench"
 	"surge/internal/core"
 	"surge/internal/stream"
@@ -255,4 +257,57 @@ func BenchmarkCaseStudy(b *testing.B) {
 		Start: objs[len(objs)-1].T * 0.7, Duration: 300, Count: 200, Seed: 1,
 	})
 	replayBench(b, "CCS", cfg, objs)
+}
+
+// BenchmarkRestoreTopK times RestoreTopKSharded of the kCCS chain, its first
+// answer included, on exact-1shard's stream: a TaxiLike stream at 15M
+// objects a day with 300 s windows and k = 5, checkpointed when exactly the
+// two windows are full (about 104k live objects) and restored into one and
+// two shards. ns/live-obj divides the restore time by the live objects;
+// B/live-obj is the heap the restore allocates per live object.
+func BenchmarkRestoreTopK(b *testing.B) {
+	const rate = 15e6 // objects per day
+	d := stream.TaxiLike(1)
+	opt := surge.Options{Width: d.QueryWidth(), Height: d.QueryHeight(), Window: 300, Alpha: 0.5}
+	src := stream.Stretch(d.Generate(int(rate/86400*2*opt.Window)), rate)
+	objs := make([]surge.Object, len(src))
+	for i, o := range src {
+		objs[i] = surge.Object{X: o.X, Y: o.Y, Weight: o.Weight, Time: o.T}
+	}
+	// The checkpoint is engine-independent, so the cheap grid engine writes it.
+	det, err := surge.New(surge.GridApprox, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := det.PushBatch(objs); err != nil {
+		b.Fatal(err)
+	}
+	ckpt, err := det.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := det.Live()
+	det.Close()
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			alloc := ms.TotalAlloc
+			b.ResetTimer()
+			for range b.N {
+				td, err := surge.RestoreTopKSharded(surge.CellCSPOT, ckpt, 5, shards, surge.KeepShards)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				td.Close()
+				b.StartTimer()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			n := float64(b.N * live)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/live-obj")
+			b.ReportMetric(float64(ms.TotalAlloc-alloc)/n, "B/live-obj")
+		})
+	}
 }

@@ -11,12 +11,12 @@ import (
 
 // Checkpointing: a Detector's logical state is fully determined by the
 // query options, the stream clock and the set of live objects with their
-// original creation times. A checkpoint therefore serialises exactly that,
-// and restore rebuilds the engine by replaying the live objects through a
-// fresh detector — every engine reaches the identical logical state
-// (identical scores; internal caches rebuild lazily). The live set is read
-// off the window engine, whose queues hold it in arrival order; the
-// detectors track nothing beside it.
+// original creation times. A checkpoint therefore serialises exactly that;
+// restore replays them into a fresh detector's windows and builds its
+// engines from them (a kCCS chain in one pass, core.TopKLoader), reaching
+// the identical logical state (identical scores; internal caches rebuild
+// lazily). The live set is read off the window engine, whose queues hold
+// it in arrival order; the detectors track nothing beside it.
 //
 // This keeps the format engine-independent: a checkpoint written by a
 // CellCSPOT detector can be restored into a GridApprox detector, and it
@@ -190,23 +190,25 @@ func Restore(alg Algorithm, data []byte) (*Detector, error) {
 // checkpoint written at any shard count restores into any other with
 // identical scores.
 func RestoreSharded(alg Algorithm, data []byte, shards, blockCols int) (*Detector, error) {
-	env, opt, err := decodeCheckpoint(data)
+	env, opt, err := decodeCheckpoint(data, shards, blockCols)
 	if err != nil {
 		return nil, err
-	}
-	if shards != KeepShards {
-		opt.Shards = shards
-	}
-	if blockCols != KeepShards {
-		opt.ShardBlockCols = blockCols
 	}
 	d, err := New(alg, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := replayCheckpoint(env, d.PushBatch, d.AdvanceTo); err != nil {
+	objs := make([]Object, len(env.Objects))
+	for i, o := range env.Objects {
+		objs[i] = Object{X: o.X, Y: o.Y, Weight: o.Weight, Time: o.Time}
+	}
+	if _, err := d.PushBatch(objs); err != nil {
 		d.Close()
-		return nil, err
+		return nil, fmt.Errorf("surge: replaying checkpoint: %w", err)
+	}
+	if _, err := d.AdvanceTo(env.Clock); err != nil {
+		d.Close()
+		return nil, fmt.Errorf("surge: advancing restored clock: %w", err)
 	}
 	return d, nil
 }
@@ -218,10 +220,11 @@ func RestoreShardedTuned(alg Algorithm, data []byte, shards, blockCols, flushEve
 }
 
 // RestoreTopK rebuilds a top-k detector from a checkpoint written by a
-// Detector or a standalone TopKDetector: the live objects are replayed
-// through a fresh TopKDetector, which therefore answers BestK over exactly
-// the windows the checkpoint captured. This is how a serving layer derives
-// on-demand top-k answers from a continuously maintained detector.
+// Detector or a standalone TopKDetector: the live objects are replayed into
+// a fresh TopKDetector's windows and its chain is built from them once (in
+// one pass for kCCS, see TopKDetector.Replay), so it answers BestK over
+// exactly the windows the checkpoint captured, with the scores of an
+// event-by-event replay.
 // Supported algorithms are those of NewTopK. The pipeline shape recorded in
 // the checkpoint is honoured: a checkpoint written by a sharded detector
 // restores into a sharded top-k pipeline with the same shard count (use
@@ -237,40 +240,44 @@ func RestoreTopK(alg Algorithm, data []byte, k int) (*TopKDetector, error) {
 // selects the single-engine path). Because a checkpoint is
 // engine-independent — the logical state is the live object set — a
 // checkpoint written at any shard count restores into any other with the
-// same answer (bitwise for kCCS).
+// same answer (bitwise scores for kCCS, where every shard loads its part).
 func RestoreTopKSharded(alg Algorithm, data []byte, k, shards, blockCols int) (*TopKDetector, error) {
-	env, opt, err := decodeCheckpoint(data)
+	env, opt, err := decodeCheckpoint(data, shards, blockCols)
 	if err != nil {
 		return nil, err
-	}
-	if shards != KeepShards {
-		opt.Shards = shards
-	}
-	if blockCols != KeepShards {
-		opt.ShardBlockCols = blockCols
 	}
 	d, err := NewTopK(alg, opt, k)
 	if err != nil {
 		return nil, err
 	}
-	pushAll := func(objs []Object) (Result, error) {
-		_, err := d.PushBatch(objs)
-		return Result{}, err
-	}
-	advance := func(t float64) (Result, error) {
-		_, err := d.AdvanceTo(t)
-		return Result{}, err
-	}
-	if err := replayCheckpoint(env, pushAll, advance); err != nil {
+	if err := d.restore(env); err != nil {
 		d.Close()
 		return nil, err
 	}
 	return d, nil
 }
 
+// restore is Replay of the checkpoint, clock included so the past flags are
+// final, and one read: the chain is built from the live set in one catch-up.
+func (d *TopKDetector) restore(env checkpointEnvelope) error {
+	d.win.Reserve(len(env.Objects))
+	for _, o := range env.Objects {
+		if _, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, d.holdFn); err != nil {
+			return fmt.Errorf("surge: replaying checkpoint: %w", err)
+		}
+	}
+	if err := d.win.Advance(env.Clock, d.holdFn); err != nil {
+		return fmt.Errorf("surge: advancing restored clock: %w", err)
+	}
+	d.catchUp()
+	_, err := d.refresh()
+	return err
+}
+
 // decodeCheckpoint validates the envelope and reconstructs the writing
-// detector's Options.
-func decodeCheckpoint(data []byte) (checkpointEnvelope, Options, error) {
+// detector's Options, with shards and blockCols in place of its pipeline
+// shape unless they are KeepShards.
+func decodeCheckpoint(data []byte, shards, blockCols int) (checkpointEnvelope, Options, error) {
 	var env checkpointEnvelope
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
 		return env, Options{}, fmt.Errorf("surge: decoding checkpoint: %w", err)
@@ -293,24 +300,11 @@ func decodeCheckpoint(data []byte) (checkpointEnvelope, Options, error) {
 		a := env.Options.Area
 		opt.Area = &a
 	}
+	if shards != KeepShards {
+		opt.Shards = shards
+	}
+	if blockCols != KeepShards {
+		opt.ShardBlockCols = blockCols
+	}
 	return env, opt, nil
-}
-
-// replayCheckpoint feeds the checkpointed live objects back through a fresh
-// detector in time order and advances the clock to the checkpointed stream
-// time. Grown transitions for objects already past Wc fire naturally as the
-// clock moves through the replay; the batch path keeps the replay a single
-// synchronisation on a sharded pipeline.
-func replayCheckpoint(env checkpointEnvelope, pushBatch func([]Object) (Result, error), advanceTo func(float64) (Result, error)) error {
-	objs := make([]Object, len(env.Objects))
-	for i, o := range env.Objects {
-		objs[i] = Object{X: o.X, Y: o.Y, Weight: o.Weight, Time: o.Time}
-	}
-	if _, err := pushBatch(objs); err != nil {
-		return fmt.Errorf("surge: replaying checkpoint: %w", err)
-	}
-	if _, err := advanceTo(env.Clock); err != nil {
-		return fmt.Errorf("surge: advancing restored clock: %w", err)
-	}
-	return nil
 }

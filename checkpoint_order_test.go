@@ -175,7 +175,7 @@ func TestCheckpointBytesMatchSortedLiveSet(t *testing.T) {
 					if err := s.close(); err != nil {
 						t.Fatal(err)
 					}
-					env, _, err := decodeCheckpoint(data)
+					env, _, err := decodeCheckpoint(data, KeepShards, KeepShards)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -159,7 +159,8 @@
 //     object sits in exactly one of them (still in Wc, or already in Wp), in
 //     arrival order. Checkpoint walks the queues (window.Source.Each), so
 //     the detectors keep no index of their own beside the windows and a
-//     checkpoint needs no sort.
+//     checkpoint needs no sort. A restore refills them and builds the kCCS
+//     chain in one pass, ≈2 µs per live object (BenchmarkRestoreTopK).
 //   - The shard router recycles its event batches through a sync.Pool —
 //     shard workers hand slices back after applying them — and sizes each
 //     flush by the receiving shard's backlog: small batches while a shard's
@@ -335,13 +336,15 @@
 // the next read; Ingest-Seq records are applied exactly, because the
 // dedupe table stores their acks. Recovery therefore pays window time for
 // the whole log and chain time only for the objects still live at its end
-// (or at a sequenced record). Three things follow. The recovered answers
-// are those of a checkpoint restore of the same live set: bitwise the
-// same scores, and the same regions except among exactly equal scores.
-// Replay publishes one notification per query, at its end (SSE ids
-// restart under a new epoch at every boot anyway). The engine counters of
-// /v1/stats (events, cells touched, searches) count the chains' real
-// work, so they read lower after a recovery. Replay is not ingest either:
+// (or at a sequenced record), which an empty kCCS chain takes in one pass
+// (core.TopKLoader), as a restore does. Three things follow. The recovered
+// answers are those of a checkpoint restore of the same live set: bitwise
+// the scores of an event-by-event build, the same regions except among
+// exactly equal scores. Replay publishes one notification per query, at its
+// end (SSE ids restart under a new epoch at every boot anyway). The engine
+// counters of /v1/stats (events, cells touched, searches) count the chains'
+// real work, so they read lower after a recovery or a restore (one event
+// per loaded object, one cell touch per entry). Replay is not ingest either:
 // it reports itself only through surge_wal_recovery_*, and
 // last_ingest_age_sec stays -1 until a client ingests.
 //

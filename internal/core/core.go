@@ -260,6 +260,18 @@ type TopKShard interface {
 	ApplyRank(i int, old, sel Result)
 }
 
+// LiveObject is one object of a window's live set; Past once it is in Wp.
+type LiveObject struct {
+	Obj  Object
+	Past bool
+}
+
+// TopKLoader builds an engine holding no live object from a live set in
+// arrival order: the state New for each object, then Grown if past, leaves.
+type TopKLoader interface {
+	Load(live []LiveObject)
+}
+
 // CompareTopK is the canonical selection order of the top-k merges: found
 // before not-found, higher score first, exact score ties broken on the
 // region's coordinates (lexicographically ascending). Score ties are real in

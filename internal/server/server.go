@@ -351,6 +351,7 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 	// lineage) — identical fresh queries share, and queries restored from
 	// the same persisted slot share again.
 	groups := make(map[string]*engineSlot)
+	t0 := time.Now()
 	for _, sd := range seeds {
 		gk := strconv.Itoa(sd.slotTag) + "|" + sd.cfg.key()
 		sl := groups[gk]
@@ -382,12 +383,16 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 			s.clock = sl.clock
 		}
 	}
+	log := s.log
+	if cfg.Checkpoint != nil {
+		log = log.With("restore_sec", time.Since(t0).Seconds(), "live", s.defTenant.slot.Load().statLive.Load())
+	}
 	s.statShards.Store(int64(s.defTenant.slot.Load().statShards))
 	s.statNow.Store(math.Float64bits(s.clock))
 	s.routes()
 	go s.loop()
 	go s.lagLoop()
-	s.log.Info("server started",
+	log.Info("server started",
 		"algorithm", cfg.Algorithm.String(),
 		"shards", s.defTenant.slot.Load().statShards,
 		"topk", cfg.TopK,

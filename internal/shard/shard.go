@@ -310,6 +310,8 @@ func (p *Pipeline) runOp(w *worker, op *tkOp) (ok bool) {
 		op.resc <- r
 	case tkApply:
 		w.tk.ApplyRank(op.i, op.old, op.sel)
+	case tkLoad:
+		w.tk.(core.TopKLoader).Load(op.live)
 	}
 	return true
 }

@@ -38,6 +38,7 @@ type TopKFactory func(cfg core.Config) (core.TopKShard, error)
 const (
 	tkSolve uint8 = iota // answer ProblemBest(op.i) on op.resc
 	tkApply              // ApplyRank(op.i, op.old, op.sel), no reply
+	tkLoad               // Load(op.live), no reply
 )
 
 // tkOp is one top-k chain operation shipped to a worker inside a batch.
@@ -47,7 +48,8 @@ type tkOp struct {
 	kind     uint8
 	i        int // rank / problem index, 1-based
 	old, sel core.Result
-	resc     chan<- tkReply // tkSolve
+	resc     chan<- tkReply    // tkSolve
+	live     []core.LiveObject // tkLoad: shared by every shard, read-only
 }
 
 type tkReply struct {
@@ -153,6 +155,27 @@ func NewTopK(cfg core.Config, shards, blockCols int, _ Params, k int, factory To
 
 // K returns the chain's k.
 func (c *TopKChain) K() int { return c.k }
+
+// Load has every shard's engine build its state from the shared live set
+// (core.TopKLoader) through its own ownership filter, and reports false if
+// they cannot (one factory built them all). live must not change until the
+// next Query returns. Load must not be called after Close.
+func (c *TopKChain) Load(live []core.LiveObject) bool {
+	p := c.p
+	if _, ok := p.workers[0].tk.(core.TopKLoader); !ok {
+		return false
+	}
+	for i, w := range p.workers {
+		if n := len(p.pending[i]); n > 0 {
+			p.noteShip(i, n)
+		}
+		w.ch <- batch{evs: p.pending[i], op: &tkOp{kind: tkLoad, live: live}}
+		p.pending[i] = nil
+		p.shardSeq[i]++
+	}
+	p.routeSeq++
+	return true
+}
 
 // pValid reports whether shard s's cached answer for problem prob (1-based)
 // is still exact: the shard saw no event since the solve, and no commit at a

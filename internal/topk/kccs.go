@@ -42,7 +42,8 @@
 // Lemma 1 (see grid.CoverCells); such a record caches none and its cells are
 // found through the map. Window expiry and growth are FIFO, so an event's
 // record is found at the ring's head or at its oldest not-yet-Grown record,
-// with a binary search by id as the fallback.
+// with a binary search by id as the fallback. Load builds the records and
+// cells of a whole live set (a restore) in one pass instead of per event.
 //
 // A cell is a FIFO with a head index, the discipline of the window engine's
 // own queues: the live entries are objs[head:]. A cell's entries are an
@@ -78,6 +79,8 @@ package topk
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"surge/internal/core"
 	"surge/internal/geom"
@@ -340,6 +343,86 @@ func (e *KCCS) processNew(o core.Object) {
 		e.applyNew(c, s, cover, dc)
 		e.enqueue(c)
 	}
+}
+
+// Load implements core.TopKLoader. Cells are fresh as New leaves them, their
+// static bounds folds of their current objects. Ring, map and shared heap are
+// sized once; cells come from slabs, entries from one array with headroom.
+func (e *KCCS) Load(live []core.LiveObject) {
+	if e.rtail != e.rhead {
+		panic("topk: Load into an engine that holds live objects")
+	}
+	n := 0 // accepted objects: in the area, with an owned cover cell
+	for _, l := range live {
+		if e.cfg.InArea(l.Obj) {
+			e.cellScratch = e.grid.CoverCellsOwned(e.cellScratch[:0], l.Obj.X, l.Obj.Y, e.cfg.Width, e.cfg.Height, e.cfg.Cols)
+			n += min(len(e.cellScratch), 1)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	if size := max(minRing, 1<<bits.Len(uint(n-1))); len(e.ring) < size {
+		e.ring = make([]kobj, size)
+	}
+	e.cells = make(map[uint64]*kcell, n+n/4) // was empty; exact-1shard's stream has 1.15 cells per object
+	e.queue = slices.Grow(e.queue, n+n/4)
+	var slab []kcell
+	first, q0, entries := e.rtail, len(e.queue), 0 // a new cell's head counts its entries until carved
+	for _, l := range live {
+		if !e.cfg.InArea(l.Obj) {
+			continue
+		}
+		e.cellScratch = e.grid.CoverCellsOwned(e.cellScratch[:0], l.Obj.X, l.Obj.Y, e.cfg.Width, e.cfg.Height, e.cfg.Cols)
+		if len(e.cellScratch) == 0 {
+			continue
+		}
+		r := e.rec(e.push(l.Obj))
+		r.past = l.Past
+		if len(e.cellScratch) <= len(r.cells) {
+			r.nc = uint8(len(e.cellScratch))
+		}
+		for i, ck := range e.cellScratch {
+			c := e.cells[ck.Pack()]
+			if c == nil {
+				if len(slab) == 0 {
+					slab = make([]kcell, 1024)
+				}
+				c, slab = &slab[0], slab[1:]
+				*c = kcell{key: ck, sud: math.Inf(1), spos: -1}
+				e.cells[ck.Pack()] = c
+				e.enqueue(c)
+			}
+			c.head++
+			if r.nc > 0 {
+				r.cells[i] = c
+			}
+		}
+		entries += len(e.cellScratch)
+	}
+	cells := e.queue[q0:]
+	e.main.cells, e.main.prio = slices.Grow(e.main.cells, len(cells)), slices.Grow(e.main.prio, len(cells))
+	backing := make([]uint32, entries+entries/4+len(cells))
+	for _, c := range cells {
+		m := c.head + c.head/4 + 1
+		c.objs, backing, c.head = backing[:0:m], backing[m:], 0
+	}
+	// Entries and static bounds, in arrival order.
+	for s := first; s != e.rtail; s++ {
+		r := e.rec(s)
+		for _, c := range e.cellsOf(r) {
+			c.objs = append(c.objs, s)
+			if !r.past {
+				c.sus += r.wt / e.cfg.WC
+				c.susCur++
+			}
+		}
+	}
+	for e.rgrow = first; e.rgrow != e.rtail && e.rec(e.rgrow).past; e.rgrow++ {
+	}
+	e.stats.Events += uint64(n)
+	e.stats.CellsTouched += uint64(entries)
+	e.dirty = true
 }
 
 // rec returns the record of live seq s.

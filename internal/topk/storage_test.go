@@ -9,6 +9,7 @@ import (
 
 	"surge/internal/core"
 	"surge/internal/geom"
+	"surge/internal/grid"
 	"surge/internal/window"
 )
 
@@ -368,5 +369,157 @@ func TestRingWraparound(t *testing.T) {
 				t.Fatalf("cols %v start %d: Stats from 0 %+v, across the wrap %+v", cols, starts[w], zero.Stats(), e.Stats())
 			}
 		}
+	}
+}
+
+// TestLoadMatchesEventBuild pins Load against the build it replaces: a twin
+// engine shown every live object as New, then Grown if past, as a detector
+// catching up does. Streams run on time and count windows, with an Area and
+// column ownership masks, negative coordinates, timestamp ties, and anchors
+// one ulp below the grid lines 1, 2 and 4, whose floating-point floors give
+// them six or nine cells. Right after Load the loaded engine must hold the
+// accepted objects as FIFOs of a well-formed ring with the Grown cursor on
+// the first current record, leave every cell fresh and queued with its
+// static bound the arrival-order fold of its current objects, retain at
+// most three times its live bytes, count one event per object and one cell
+// touch per entry, and report the twin's scores bitwise at every rank; then
+// both take more than two windows of further events with a BestK per 64
+// objects and must keep reporting the same scores.
+func TestLoadMatchesEventBuild(t *testing.T) {
+	area := geom.Rect{MinX: -2, MinY: -3, MaxX: 7, MaxY: 6}
+	for _, tc := range []struct {
+		name  string
+		count bool
+		area  bool
+		cols  *core.ColumnSet
+		k     int
+		seed  uint64
+	}{
+		{"time", false, false, nil, 3, 11},
+		{"time-area", false, true, nil, 5, 12},
+		{"time-cols", false, false, &core.ColumnSet{Block: 2, Shards: 2, Index: 1}, 4, 13},
+		{"count", true, false, nil, 3, 14},
+		{"count-area-cols", true, true, &core.ColumnSet{Block: 1, Shards: 3, Index: 0}, 5, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.Config{Width: 1, Height: 1, WC: 30, WP: 20, Alpha: 0.5, Cols: tc.cols}
+			if tc.area {
+				cfg.Area = &area
+			}
+			var win window.Source
+			var err error
+			if tc.count {
+				win, err = window.NewCount(90, 60)
+			} else {
+				win, err = window.New(cfg.WC, cfg.WP)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(tc.seed, 78))
+			objs := storageStream(rng, 2000, 0.4)
+			cells := map[int]int{}
+			for i := range objs {
+				if i%7 == 0 {
+					b := math.Nextafter(float64(int(1)<<rng.IntN(3)), 0)
+					objs[i].X = b
+					if rng.IntN(2) == 0 {
+						objs[i].Y = b
+					}
+				}
+				cells[len(grid.Aligned(1, 1).CoverCells(nil, objs[i].X, objs[i].Y, 1, 1))]++
+			}
+			if cells[6] == 0 || cells[9] == 0 {
+				t.Fatalf("stream has no six- or nine-cell objects: %v", cells)
+			}
+			half := len(objs) / 2
+			for _, o := range objs[:half] {
+				if _, err := win.Push(o, func(core.Event) {}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			twin, err := NewKCCS(cfg, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, _ := NewKCCS(cfg, tc.k)
+			var live []core.LiveObject
+			var accepted []uint64
+			win.Each(0, func(o core.Object, past bool) {
+				live = append(live, core.LiveObject{Obj: o, Past: past})
+				twin.Process(core.Event{Kind: core.New, Obj: o})
+				if past {
+					twin.Process(core.Event{Kind: core.Grown, Obj: o})
+				}
+				if cfg.InArea(o) && len(loaded.grid.CoverCellsOwned(nil, o.X, o.Y, 1, 1, cfg.Cols)) > 0 {
+					accepted = append(accepted, o.ID)
+				}
+			})
+			loaded.Load(live)
+			checkFIFO(t, loaded, 0)
+			checkRing(t, loaded, accepted, 0)
+			grow := loaded.rhead
+			for grow != loaded.rtail && loaded.rec(grow).past {
+				grow++
+			}
+			if loaded.rgrow != grow {
+				t.Fatalf("Grown cursor at %d, first current record at %d", loaded.rgrow, grow)
+			}
+			for _, c := range loaded.cells {
+				var us float64
+				cur := 0
+				for _, s := range c.objs[c.head:] {
+					if r := loaded.rec(s); !r.past {
+						us += r.wt / cfg.WC
+						cur++
+					}
+				}
+				if math.Float64bits(c.sus) != math.Float64bits(us) || c.susCur != cur || !math.IsInf(c.sud, 1) || c.scand.valid || !c.queued || c.split {
+					t.Fatalf("cell %v after Load: sus %v over %d current, sud %v, candidate %+v, queued %v, split %v; want sus %v over %d, +Inf, invalid, queued, unsplit",
+						c.key, c.sus, c.susCur, c.sud, c.scand, c.queued, c.split, us, cur)
+				}
+			}
+			if n, c := census(loaded); c > 3*n {
+				t.Fatalf("Load retains %d bytes of capacity for %d live bytes (%.2fx)", c, n, float64(c)/float64(n))
+			}
+			entries := 0
+			for _, c := range loaded.cells {
+				entries += c.live()
+			}
+			if st := loaded.Stats(); st.Events != uint64(len(accepted)) || st.CellsTouched != uint64(entries) {
+				t.Fatalf("Stats after Load %+v, want %d events and %d cell touches", st, len(accepted), entries)
+			}
+			same := func(step int) {
+				t.Helper()
+				a, b := twin.BestK(), loaded.BestK()
+				for i := range a {
+					if a[i].Found != b[i].Found || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+						t.Fatalf("object %d rank %d: event by event %+v, loaded %+v", step, i, a[i], b[i])
+					}
+					if a[i].Point != b[i].Point {
+						break // an exact tie: the ranks below exclude other objects
+					}
+					if math.Float64bits(a[i].FC) != math.Float64bits(b[i].FC) || math.Float64bits(a[i].FP) != math.Float64bits(b[i].FP) {
+						t.Fatalf("object %d rank %d: event by event %+v, loaded %+v", step, i, a[i], b[i])
+					}
+				}
+			}
+			same(half)
+
+			both := func(ev core.Event) {
+				twin.Process(ev)
+				loaded.Process(ev)
+			}
+			for i, o := range objs[half:] {
+				if _, err := win.Push(o, both); err != nil {
+					t.Fatal(err)
+				}
+				if i%64 == 63 {
+					same(half + i)
+					checkFIFO(t, loaded, half+i)
+				}
+			}
+		})
 	}
 }

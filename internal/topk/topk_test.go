@@ -3,6 +3,7 @@ package topk_test
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"surge/internal/core"
@@ -199,8 +200,10 @@ func score(r core.Result) float64 {
 // the per-event engine's scores bitwise, rank by rank, down to the first
 // rank where the two picked different points of equal score: regions are
 // canonical only up to such ties (see TestKCCSScheduleIndependence), and
-// the ranks below a tie exclude different objects.
-func checkEdgeStream(t *testing.T, cfg core.Config, k int, objs []core.Object, every int) {
+// the ranks below a tie exclude different objects. After event restoreAt
+// (none if 0) a fourth engine is built with Load from the live set and is
+// held to the lazy engine's rule then and every `every` events after.
+func checkEdgeStream(t *testing.T, cfg core.Config, k int, objs []core.Object, every, restoreAt int) {
 	t.Helper()
 	eager, err := topk.NewKCCS(cfg, k)
 	if err != nil {
@@ -211,11 +214,28 @@ func checkEdgeStream(t *testing.T, cfg core.Config, k int, objs []core.Object, e
 	oracle, _ := topk.NewNaive(cfg, k)
 	chainOracle, _ := topk.NewNaive(cfg, k)
 	committed := make([]core.Result, k+1) // the chain's ranks, 1-based
+	var restored *topk.KCCS
+	var live []core.LiveObject // the windows' live set, in arrival order
 	step := 0
 	drive(t, cfg.WC, cfg.WP, objs, func(ev core.Event) {
 		step++
 		for _, e := range []core.TopKEngine{eager, lazy, chain, oracle, chainOracle} {
 			e.Process(ev)
+		}
+		if restored != nil {
+			restored.Process(ev)
+		}
+		switch ev.Kind {
+		case core.New:
+			live = append(live, core.LiveObject{Obj: ev.Obj})
+		case core.Grown:
+			for i := range live {
+				if live[i].Obj.ID == ev.Obj.ID {
+					live[i].Past = true
+				}
+			}
+		case core.Expired:
+			live = slices.DeleteFunc(live, func(l core.LiveObject) bool { return l.Obj.ID == ev.Obj.ID })
 		}
 		a := eager.BestK()
 		for i := 1; i <= k; i++ {
@@ -233,15 +253,23 @@ func checkEdgeStream(t *testing.T, cfg core.Config, k int, objs []core.Object, e
 				t.Fatalf("event %d rank %d: chain=%v naive=%v", step, i-1, score(r), score(want))
 			}
 		}
-		if step%every != 0 {
+		if step == restoreAt {
+			restored, _ = topk.NewKCCS(cfg, k)
+			restored.Load(live)
+		} else if step%every != 0 {
 			return
 		}
-		for i, l := range lazy.BestK() {
-			if l.Found != a[i].Found || math.Float64bits(l.Score) != math.Float64bits(a[i].Score) {
-				t.Fatalf("event %d rank %d: per-event %+v != every %d events %+v", step, i, a[i], every, l)
+		for _, e := range []*topk.KCCS{lazy, restored} {
+			if e == nil {
+				continue
 			}
-			if l.Point != a[i].Point {
-				break
+			for i, l := range e.BestK() {
+				if l.Found != a[i].Found || math.Float64bits(l.Score) != math.Float64bits(a[i].Score) {
+					t.Fatalf("event %d rank %d: per-event %+v != every %d events (restored at %d) %+v", step, i, a[i], every, restoreAt, l)
+				}
+				if l.Point != a[i].Point {
+					break
+				}
 			}
 		}
 	})
@@ -280,16 +308,17 @@ func TestKCCSFloatBoundary(t *testing.T) {
 		t.Fatalf("stream has no six- or nine-cell objects: %v", cells)
 	}
 	for _, k := range []int{1, 3} {
-		checkEdgeStream(t, cfg, k, objs, 512)
+		checkEdgeStream(t, cfg, k, objs, 512, 1200)
 	}
 }
 
 // FuzzKCCS decodes bytes into a stream of at most 48 grid-line anchors (see
 // snapCoord) with timestamp ties and varied weights, and checks it as
 // TestKCCSFloatBoundary does. The first two bytes pick k and the lazy query
-// period; each object then takes four: the x and y snaps (the low two bits
-// the mode, the next three the grid line, the rest the interior offset), a
-// time step (0 = a tie) and a weight. Grid lines run from -4 to 4, skipping
+// period, and the first byte's high six bits the event after which an
+// engine is rebuilt with Load; each object then takes four: the x and y
+// snaps (the low two bits the mode, the next three the grid line, the rest
+// the interior offset), a time step (0 = a tie) and a weight. Grid lines run from -4 to 4, skipping
 // 0 (see snapCoord). Each weight carries a fixed per-object jitter, so two
 // regions never score equal from distinct object sets: the bitwise schedule
 // property holds for the canonical folds, not for different sums that are
@@ -299,7 +328,7 @@ func FuzzKCCS(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		k, every := 1+int(data[0]%4), 1+int(data[1]%16)
+		k, every, restoreAt := 1+int(data[0]%4), 1+int(data[1]%16), 1+int(data[0]>>2)
 		cfg := core.Config{Width: edgeW, Height: edgeW, WC: 3, WP: 3, Alpha: 0.5}
 		coord := func(b byte) float64 {
 			n := int(b>>2&7) - 4
@@ -316,7 +345,7 @@ func FuzzKCCS(f *testing.F) {
 			w := 1 + float64(data[3]%32)/4 + jitter.Float64()/64
 			objs = append(objs, core.Object{X: coord(data[0]), Y: coord(data[1]), Weight: w, T: tm})
 		}
-		checkEdgeStream(t, cfg, k, objs, every)
+		checkEdgeStream(t, cfg, k, objs, every, restoreAt)
 	})
 }
 

@@ -3,6 +3,7 @@ package window
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"surge/internal/core"
 )
@@ -42,6 +43,9 @@ func (e *CountEngine) Each(from uint64, fn func(o core.Object, past bool)) {
 	e.past.each(from, fn, true)
 	e.cur.each(from, fn, false)
 }
+
+// Reserve implements Source: the current window holds at most nc objects.
+func (e *CountEngine) Reserve(n int) { e.cur.items = slices.Grow(e.cur.items, min(n, e.nc)) }
 
 // Push feeds one object: it enters the current window (New); if the current
 // window overflows, its oldest object moves to the past window (Grown); if

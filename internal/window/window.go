@@ -45,6 +45,8 @@ type Source interface {
 	// back. Both queues are ID-ordered, so the start is a binary search and
 	// the walk costs O(log live + objects visited).
 	Each(from uint64, fn func(o core.Object, past bool))
+	// Reserve makes room for n more arrivals (a checkpoint restore).
+	Reserve(n int)
 }
 
 // Engine generates window-transition events from a time-ordered object
@@ -80,6 +82,12 @@ func (e *Engine) Live() int { return e.count }
 func (e *Engine) Each(from uint64, fn func(o core.Object, past bool)) {
 	e.expired.each(from, fn, true)
 	e.grown.each(from, fn, false)
+}
+
+// Reserve implements Source: arrivals enter the Wc queue, past ones the Wp.
+func (e *Engine) Reserve(n int) {
+	e.grown.items = slices.Grow(e.grown.items, n)
+	e.expired.items = slices.Grow(e.expired.items, n)
 }
 
 // Push advances the clock to o.T and feeds the object into the stream. All

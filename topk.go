@@ -307,8 +307,8 @@ func (d *TopKDetector) PushBatch(objs []Object) ([]Result, error) {
 // object), but the new objects are held back from the chain, which sees
 // none of their New, Grown and Expired events. The next Push, PushBatch,
 // AdvanceTo, BestK, Stats or Close first shows the chain every held-back
-// object still live — New, then Grown if it is already past Wc, in arrival
-// order — so an object that expires before anyone reads an answer costs no
+// object still live — New, then Grown if past Wc, or one Load into an empty
+// chain — so an object that expires before anyone reads an answer costs no
 // chain work. The answer is then that of a RestoreTopK of the same live
 // set: the same scores, and the same regions except among equal scores.
 // Now, Live and Checkpoint read the windows and need no catch-up. After
@@ -331,19 +331,35 @@ func (d *TopKDetector) hold(ev core.Event) {
 	}
 }
 
-// catchUp shows the chain the objects Replay held back that are still live.
-// The walk starts at lag, so it costs O(held-back objects), not O(live).
+// catchUp shows the chain the objects Replay held back that are still live,
+// walking from lag: O(held-back objects), not O(live). A chain that holds no
+// live object is built from them in one pass where it can (core.TopKLoader).
 func (d *TopKDetector) catchUp() {
 	if d.lag == 0 {
 		return
 	}
+	held := 0
+	d.win.Each(d.lag, func(core.Object, bool) { held++ })
+	live := make([]core.LiveObject, 0, held)
 	d.win.Each(d.lag, func(o core.Object, past bool) {
-		d.chainFn(core.Event{Kind: core.New, Obj: o})
-		if past {
-			d.chainFn(core.Event{Kind: core.Grown, Obj: o})
-		}
+		live = append(live, core.LiveObject{Obj: o, Past: past})
 	})
 	d.lag = 0
+	if len(live) == d.win.Live() {
+		if l, ok := d.eng.(core.TopKLoader); ok {
+			l.Load(live)
+			return
+		}
+		if d.pipe != nil && d.chain.Load(live) {
+			return
+		}
+	}
+	for _, l := range live {
+		d.chainFn(core.Event{Kind: core.New, Obj: l.Obj})
+		if l.Past {
+			d.chainFn(core.Event{Kind: core.Grown, Obj: l.Obj})
+		}
+	}
 }
 
 // AdvanceTo moves the stream clock to t without a new arrival and returns
