@@ -244,6 +244,7 @@ type StatsSnapshot struct {
 	Shards           int     `json:"shards"`
 
 	Objects       uint64 `json:"objects"`
+	Clamped       uint64 `json:"clamped"` // late objects lifted to the stream clock
 	Batches       uint64 `json:"batches"`
 	IngestErrors  uint64 `json:"ingest_errors"`
 	Notifications uint64 `json:"notifications"`
@@ -388,7 +389,6 @@ type QueryStats struct {
 	TopKFast    uint64 `json:"topk_fast"`
 	Snapshots   uint64 `json:"snapshots"`
 	Restores    uint64 `json:"restores"`
-	Clamped     uint64 `json:"clamped"`
 	// Err is this query's recorded pipeline error; the other queries keep
 	// serving when one engine fails.
 	Err string `json:"err,omitempty"`

@@ -239,9 +239,17 @@
 // them as PushBatch batches — so concurrent ingesters serialise into one
 // global stream order and the SSE notification stream equals the answer
 // changes of a single-process run of that order, bit for bit in the
-// scores. Out-of-order timestamps across
-// uncoordinated ingesters are rejected ("strict" policy) or lifted to the
-// stream clock ("clamp"). A subscriber that falls behind its buffer loses
+// scores. The server keeps one stream clock for all of its queries and
+// decides every ingest chunk against it once, before the chunk is logged:
+// an object earlier than its predecessor or than the clock makes the
+// "strict" policy reject the whole chunk (which then leaves the clock
+// where it was), and the "clamp" policy lifts it to the clock. Every query
+// sees the stream as the server decided it: a query created mid-stream, or
+// restored from a checkpoint older than the stream, is held to the
+// server's clock, not a clock of its own, and a restore from a newer
+// checkpoint advances the clock for every query (restoring a single-query
+// server sets the clock to the checkpoint's). A subscriber that falls
+// behind its buffer loses
 // oldest-first notifications, with the loss counted on the next delivered
 // notification — never silently; a subscriber that reconnects with the
 // standard Last-Event-ID header is backfilled from a bounded ring of
@@ -324,10 +332,12 @@
 // its 200 goes out, on the same single-writer loop that applies it, so log
 // order equals apply order. Frames are length-prefixed and CRC32C-checked
 // in fixed-size segments; each frame records the chunk's objects as they
-// arrived, before timestamp clamping, so replay re-runs the identical
-// clamp against the restored stream clock and recovers bit-identical
-// state. Boot loads the newest checkpoint (surge.ckpt, written atomically:
-// temp file, fsync, rename, directory fsync), replays the log tail past
+// arrived, before the clamp lifts them (a chunk the strict policy rejects
+// is never logged), and replay decides every frame again against a stream
+// clock that starts at the restored one, so it lifts the same objects and
+// recovers bit-identical state. Boot loads the newest checkpoint
+// (surge.ckpt, written atomically: temp file, fsync, rename, directory
+// fsync), replays the log tail past
 // its LSN, and truncates at the first torn record — a partially written
 // tail from a crash mid-append, counted in /healthz as wal_torn_bytes.
 //

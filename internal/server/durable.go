@@ -229,10 +229,12 @@ func NewDurable(cfg Config, dc DurableConfig) (*Server, error) {
 
 var errReplayAborted = errors.New("server: wal replay aborted")
 
-// replayLog re-applies the WAL after the checkpoint, on the event loop.
+// replayLog re-applies the WAL after the checkpoint, on the event loop,
+// through applyLogged (no log is attached yet, so nothing is appended).
 // Every record reproduces the original window state bit-for-bit: it holds
-// the pre-clamp objects, the clamp depends only on the restored stream
-// clock, and a batch whose apply failed fails identically. Unsequenced
+// the objects as parsed, replay decides them again against the stream clock
+// — which starts at the restored clock (resetClock) and moves exactly as it
+// did live — and a batch whose apply failed fails identically. Unsequenced
 // records go through the chains' Replay, so an object that expires before
 // the end of the log costs no chain work; an Ingest-Seq record is applied
 // exactly, because the dedupe table stores its ack. At the end every slot
@@ -241,16 +243,17 @@ func (s *Server) replayLog(wlog *wal.Log, after uint64, ws *walState) error {
 	var objs []surge.Object
 	err := wlog.Replay(after, func(lsn uint64, payload []byte) error {
 		// The decode buffer is reused across records: nothing retains it,
-		// because the window copies objects into its queues and a clamping
-		// slot copies the chunk into its own scratch.
+		// because the windows copy objects into their queues.
 		src, seq, chunk, rec, derr := decodeWALRecord(payload, objs)
 		if objs = rec; derr != nil {
 			return fmt.Errorf("server: wal record %d: %w", lsn, derr)
 		}
-		if src == "" {
-			s.applyBatch(rec, quietBatch)
-		} else if res, c, aerr := s.applyBatch(rec, replayBatch); aerr == nil {
-			s.noteSeqApplied(src, seq, chunk, len(rec), c, res)
+		mode := quietBatch
+		if src != "" {
+			mode = replayBatch
+		}
+		if res, late, aerr := s.applyLogged(rec, src, seq, chunk, mode); aerr == nil {
+			s.noteSeqApplied(src, seq, chunk, len(rec), late, res)
 		}
 		ws.recBatches++
 		ws.recObjects += uint64(len(rec))
@@ -273,29 +276,38 @@ func (s *Server) replayLog(wlog *wal.Log, after uint64, ws *walState) error {
 	return nil
 }
 
-// applyLogged runs on the event loop: append the chunk to the WAL (when
-// one is attached), then apply it. The append happens first and its error
-// aborts the apply, so a 200 is only ever sent for a batch the log holds —
-// and because both the append and the apply happen on the loop, WAL order
-// is exactly apply order.
+// applyLogged runs on the event loop: decide the chunk against the stream
+// clock, append it to the WAL (when one is attached), then lift its late
+// objects and apply it. A chunk the time policy rejects never reaches the
+// log and leaves the clock where it was. The append happens before the
+// apply and its error aborts it, so a 200 is only ever sent for a batch the
+// log holds — and because both the append and the apply happen on the loop,
+// WAL order is exactly apply order. The lift is in place, in the handler's
+// chunk buffer: the handler is blocked in do until the chunk is applied.
 //
 // An append failure transitions the server to degraded instead of failing
 // every future ingest: the batch is rejected (never acked), ingest is shed
 // with 503 until the background repair loop truncates the partial tail,
 // rotates to a fresh segment and re-establishes the durable floor with a
 // fresh checkpoint. Queries keep serving throughout.
-func (s *Server) applyLogged(objs []surge.Object, src string, seq uint64, chunk uint32) (surge.Result, int, error) {
+func (s *Server) applyLogged(objs []surge.Object, src string, seq uint64, chunk uint32, mode batchMode) (surge.Result, int, error) {
+	if s.wal != nil && s.degraded.Load() {
+		return surge.Result{}, 0, errDegraded
+	}
+	late, clock, err := s.decide(objs)
+	if err != nil {
+		return surge.Result{}, 0, err
+	}
 	if s.wal != nil {
-		if s.degraded.Load() {
-			return surge.Result{}, 0, errDegraded
-		}
 		s.wal.scratch = encodeWALRecord(s.wal.scratch[:0], src, seq, chunk, objs)
 		if _, err := s.wal.log.Append(s.wal.scratch); err != nil {
 			s.enterDegraded(err)
 			return surge.Result{}, 0, fmt.Errorf("%w: %w", errDegraded, err)
 		}
 	}
-	return s.applyBatch(objs, ingestBatch)
+	s.advance(objs, late, clock)
+	res, err := s.applyBatch(objs, mode)
+	return res, late, err
 }
 
 // errDegraded marks ingest shed while durability is lost: the WAL cannot
@@ -654,8 +666,10 @@ func (s *Server) persistCheckpoint(rc regCapture, lsn, gen uint64) error {
 //	uvarint object count
 //	32 B    per object: time, x, y, weight as little-endian float64 bits
 //
-// Objects are recorded pre-clamp (as parsed), so replay re-runs the same
-// clamp against the same restored stream clock and lands bit-identically.
+// Objects are recorded as parsed, before the clamp lifts them; a chunk the
+// strict policy rejects is never recorded. Replay decides each record again
+// against the stream clock, which starts at the restored clock and moves as
+// it did live, so it lifts the same objects and lands bit-identically.
 
 const walRecordVersion = 1
 

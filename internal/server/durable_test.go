@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -501,8 +504,8 @@ func recoveryShapes() []recoveryShape {
 						streamBatches(t, c, chunk, 50)
 						continue
 					}
-					// An out-of-order object mid-chunk: the objects before it
-					// are applied, the request is rejected, the log holds it.
+					// An out-of-order object mid-chunk: the strict policy
+					// rejects the whole chunk before the log sees it.
 					bad := append([]surge.Object(nil), chunk...)
 					bad[25].Time = bad[0].Time - 10
 					if _, err := c.Ingest(context.Background(), bad); err == nil {
@@ -570,7 +573,7 @@ func TestDurableRecoveryShapes(t *testing.T) {
 			if len(s2.slots) != 1+len(sh.cfg.Queries) {
 				t.Fatalf("%d engine slots for %d queries, want one each", len(s2.slots), 1+len(sh.cfg.Queries))
 			}
-			if sh.cfg.TimePolicy == Clamp && pre.Queries[0].Clamped == 0 {
+			if sh.cfg.TimePolicy == Clamp && pre.Clamped == 0 {
 				t.Fatal("a clamp shape clamped nothing; the test lost its coverage")
 			}
 			assertSameAnswers(t, "default query", c2, ref)
@@ -581,19 +584,21 @@ func TestDurableRecoveryShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if post.Objects != pre.Objects || post.Now != pre.Now || post.Live != pre.Live ||
+			// The clamp count is server-wide: the stream clock is decided
+			// once for every query, so there is no per-query count to keep.
+			if post.Objects != pre.Objects || post.Clamped != pre.Clamped || post.Now != pre.Now || post.Live != pre.Live ||
 				post.WAL.RecoveredObjects != pre.Objects {
-				t.Fatalf("stats after recovery: objects %d now %v live %d recovered %d; before the crash objects %d now %v live %d",
-					post.Objects, post.Now, post.Live, post.WAL.RecoveredObjects, pre.Objects, pre.Now, pre.Live)
+				t.Fatalf("stats after recovery: objects %d clamped %d now %v live %d recovered %d; before the crash objects %d clamped %d now %v live %d",
+					post.Objects, post.Clamped, post.Now, post.Live, post.WAL.RecoveredObjects, pre.Objects, pre.Clamped, pre.Now, pre.Live)
 			}
 			if len(post.Queries) != len(pre.Queries) {
 				t.Fatalf("%d queries after recovery, %d before", len(post.Queries), len(pre.Queries))
 			}
 			for i, q := range post.Queries {
 				p := pre.Queries[i]
-				if q.ID != p.ID || q.Clamped != p.Clamped || q.Live != p.Live || q.Now != p.Now {
-					t.Fatalf("query %q after recovery: clamped %d live %d now %v; before: clamped %d live %d now %v",
-						q.ID, q.Clamped, q.Live, q.Now, p.Clamped, p.Live, p.Now)
+				if q.ID != p.ID || q.Live != p.Live || q.Now != p.Now {
+					t.Fatalf("query %q after recovery: live %d now %v; before: live %d now %v",
+						q.ID, q.Live, q.Now, p.Live, p.Now)
 				}
 			}
 
@@ -613,6 +618,62 @@ func TestDurableRecoveryShapes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStrictRejectedChunkNeverLogged pins that the strict policy decides
+// before the WAL append: a chunk earlier than the stream clock is rejected
+// whole, leaves the clock where it was and never reaches the log, so
+// recovery replays — and reports — only the acknowledged objects.
+func TestStrictRejectedChunkNeverLogged(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	cfg := Config{Options: testOptions(1), BatchSize: 64}
+	s1, ts1, c1 := newDurableTestServer(t, dir, cfg, DurableConfig{Sync: wal.SyncOff})
+	objs := testObjects(67, 300, 4)
+	streamBatches(t, c1, objs, 50)
+	clock := objs[len(objs)-1].Time
+	at := func(tm float64) surge.Object { return surge.Object{X: 1, Y: 1, Weight: 1, Time: tm} }
+	// In order within the request, but its first object is behind the clock.
+	if _, err := c1.Ingest(ctx, []surge.Object{at(clock - 1), at(clock + 1)}); err == nil {
+		t.Fatal("strict server accepted an object behind the stream clock")
+	}
+	// Ahead, then behind: the whole chunk is rejected, so the clock does
+	// not move to clock+2 and clock+1 is still in order afterwards.
+	if _, err := c1.Ingest(ctx, []surge.Object{at(clock + 2), at(clock - 1)}); err == nil {
+		t.Fatal("strict server accepted an out-of-order object")
+	}
+	if _, err := c1.Ingest(ctx, []surge.Object{at(clock + 1)}); err != nil {
+		t.Fatalf("a rejected chunk moved the stream clock: %v", err)
+	}
+	pre, err := c1.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	s1.Close()
+
+	var logs bytes.Buffer
+	cfg.Logger = slog.New(slog.NewJSONHandler(&logs, nil))
+	_, _, c2 := newDurableTestServer(t, dir, cfg, DurableConfig{Sync: wal.SyncOff})
+	replayed := -1.0
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec map[string]any
+		if json.Unmarshal([]byte(line), &rec) == nil && rec["msg"] == "durable recovery complete" {
+			replayed, _ = rec["replayed_objects"].(float64)
+		}
+	}
+	post, err := c2.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(objs) + 1
+	if pre.Objects != uint64(want) || post.WAL.RecoveredObjects != uint64(want) || replayed != float64(want) {
+		t.Fatalf("objects acked %d, recovered %d, replayed_objects logged %v; want %d each",
+			pre.Objects, post.WAL.RecoveredObjects, replayed, want)
+	}
+	if post.Now != clock+1 {
+		t.Fatalf("recovered clock %v, want %v", post.Now, clock+1)
 	}
 }
 

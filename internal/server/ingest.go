@@ -101,7 +101,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		var aerr error
 		t0 := time.Now()
 		err := s.do(func() {
-			res, c, aerr = s.applyLogged(chunk, seqSrc, seqNum, idx)
+			res, c, aerr = s.applyLogged(chunk, seqSrc, seqNum, idx, ingestBatch)
 			if aerr == nil && seqSt != nil {
 				// Fold the dedupe update on the loop, in the same closure as
 				// the apply (boot replay does the same): a durable checkpoint
@@ -128,23 +128,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 
-	// Objects are validated (and, under the strict policy, order-checked
-	// within the request) before a chunk is submitted, so PushBatch can
-	// only fail on its first object — a chunk is applied in full or not at
-	// all, keeping the reported Accepted count exact.
-	strict := s.cfg.TimePolicy != Clamp
-	lastT := math.Inf(-1)
+	// Objects are validated before a chunk is submitted and the loop decides
+	// each chunk's time order whole (applyLogged), so a chunk is applied in
+	// full or not at all, keeping the reported Accepted count exact.
 	chunk := s.getChunk()
 	defer s.putChunk(chunk)
 	err := parse(r.Body, func(o surge.Object) error {
 		if err := validateObject(o); err != nil {
 			return err
-		}
-		if strict {
-			if o.Time < lastT {
-				return fmt.Errorf("server: out-of-order object at t=%v before t=%v (strict policy)", o.Time, lastT)
-			}
-			lastT = o.Time
 		}
 		*chunk = append(*chunk, o)
 		if len(*chunk) >= s.batch {

@@ -23,11 +23,14 @@
 // out to the registry's slots over a fixed worker pool (one submission per
 // slot, pinned per slot so a slot's applies stay single-threaded) and waits
 // at the pool barrier. Concurrent ingesters therefore serialise at the
-// loop, inherit its backpressure, and observe a single global stream order;
-// with the Clamp time policy, late timestamps are lifted per slot to that
-// slot's stream clock so independent ingesters never violate the library's
-// time-ordering contract — and a query created mid-stream clamps exactly
-// like an independent server started at that moment would.
+// loop, inherit its backpressure, and observe a single global stream order.
+// The loop owns one stream clock and decides every chunk against it once,
+// before the chunk is logged or fanned out: the Strict policy rejects a
+// chunk that would run the clock backwards, the Clamp policy lifts late
+// timestamps to the clock, so independent ingesters never violate the
+// library's time-ordering contract. Every query — including one created
+// mid-stream or restored from an older checkpoint — sees the stream as the
+// server decided it.
 //
 // # Consistency
 //
@@ -73,9 +76,9 @@ var ErrClosed = errors.New("server: closed")
 type TimePolicy int
 
 const (
-	// Strict rejects out-of-order objects, preserving the library's
-	// contract verbatim. Single-ingester deployments keep exact time
-	// semantics this way.
+	// Strict rejects every ingest chunk holding an out-of-order object,
+	// preserving the library's contract verbatim. Single-ingester
+	// deployments keep exact time semantics this way.
 	Strict TimePolicy = iota
 	// Clamp lifts late timestamps to the current stream clock, so any
 	// number of concurrent ingesters can stream without coordinating.
@@ -182,7 +185,8 @@ type Server struct {
 	nextWorker int
 	defTenant  *tenant // the "default" query; never nil, never deleted
 
-	// Loop-owned: global stream clock, the max of every slot's clock.
+	// Loop-owned: the stream clock, the newest decided timestamp (decide,
+	// advance); boot and restore reset it from the slots (resetClock).
 	clock float64
 
 	ringCap      int
@@ -233,7 +237,7 @@ type Server struct {
 	// Server-wide counters (atomics so /metrics and handlers read them
 	// lock-free); each tenant additionally keeps its own.
 	objects   atomic.Uint64 // objects applied
-	clamped   atomic.Uint64 // default-query objects lifted to the clock (Clamp policy)
+	clamped   atomic.Uint64 // objects lifted to the stream clock (Clamp policy)
 	batches   atomic.Uint64 // ingest-path synchronisations
 	notifs    atomic.Uint64 // notifications published (all queries)
 	dropped   atomic.Uint64 // notifications lost to slow subscribers (all queries)
@@ -378,17 +382,14 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 		s.order = append(s.order, t)
 	}
 	s.rebuildSlots()
-	for _, sl := range s.slots {
-		if sl.clock > s.clock {
-			s.clock = sl.clock
-		}
-	}
+	s.resetClock()
+	// The slots hold the restored state; the checkpoint bytes are dead.
+	s.cfg.Checkpoint = nil
 	log := s.log
 	if cfg.Checkpoint != nil {
 		log = log.With("restore_sec", time.Since(t0).Seconds(), "live", s.defTenant.slot.Load().statLive.Load())
 	}
 	s.statShards.Store(int64(s.defTenant.slot.Load().statShards))
-	s.statNow.Store(math.Float64bits(s.clock))
 	s.routes()
 	go s.loop()
 	go s.lagLoop()
@@ -732,9 +733,9 @@ func (s *Server) getChunk() *[]surge.Object {
 	return s.chunkPool.Get().(*[]surge.Object)
 }
 
-// putChunk returns an ingest chunk buffer. Every slot either reads the
-// chunk in place or copies it to private scratch during applyBatch, so
-// recycling the backing array is safe once the request is done with it.
+// putChunk returns an ingest chunk buffer. The loop lifts late objects in
+// place and the slots only read the chunk during applyBatch, so recycling
+// the backing array is safe once the request is done with it.
 func (s *Server) putChunk(c *[]surge.Object) {
 	*c = (*c)[:0]
 	s.chunkPool.Put(c)
@@ -756,21 +757,67 @@ const (
 	quietBatch                   // boot replay through TopKDetector.Replay: no read
 )
 
-// applyBatch runs on the event loop: fan the shared batch out to every
-// engine slot over the worker pool, wait at the barrier, then publish each
-// tenant's answer if it changed. The chunk itself is read-only across
-// slots (a slot that must clamp timestamps copies to private scratch), so
-// one parse serves the whole registry. The counters count every mode.
+// decide runs the time policy over a chunk against the stream clock,
+// changing nothing. An object is late when it is earlier than the clock or
+// than an object before it. Under Strict a late object rejects the whole
+// chunk; under Clamp decide counts them. It returns the clock after the chunk.
+func (s *Server) decide(objs []surge.Object) (late int, clock float64, err error) {
+	clock = s.clock
+	for _, o := range objs {
+		if o.Time >= clock {
+			clock = o.Time
+			continue
+		}
+		if s.cfg.TimePolicy != Clamp {
+			return 0, 0, fmt.Errorf("server: out-of-order object at t=%v before t=%v (strict policy)", o.Time, clock)
+		}
+		late++
+	}
+	return late, clock, nil
+}
+
+// advance commits a decided chunk: it lifts the late objects to the clock
+// in place and moves the clock to the one decide returned.
+func (s *Server) advance(objs []surge.Object, late int, clock float64) {
+	if late > 0 {
+		c := s.clock
+		for i := range objs {
+			if objs[i].Time < c {
+				objs[i].Time = c
+			} else {
+				c = objs[i].Time
+			}
+		}
+		s.clamped.Add(uint64(late))
+	}
+	s.clock = clock
+}
+
+// resetClock sets the stream clock to the newest of the slots' engine
+// clocks: at boot, before any replay, and after a restore swapped a slot in.
+func (s *Server) resetClock() {
+	for i, sl := range s.slots {
+		if now := sl.det.Now(); i == 0 || now > s.clock {
+			s.clock = now
+		}
+	}
+	s.statNow.Store(math.Float64bits(s.clock))
+}
+
+// applyBatch runs on the event loop: fan the shared, decided batch out to
+// every engine slot over the worker pool, wait at the barrier, then publish
+// each tenant's answer if it changed. The slots only read the chunk, so one
+// parse serves the whole registry. The counters count every mode.
 //
 // Failure isolation: a slot whose apply fails or panics keeps serving its
 // last good state and its tenants see no publication for the batch; the
 // other slots publish normally. The ingest ack fails only when no slot
 // accepted the batch — with a single registered query this reproduces the
 // single-detector server's semantics exactly.
-func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Result, clamped int, err error) {
+func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, clamped = surge.Result{}, 0
+			res = surge.Result{}
 			err = fmt.Errorf("%w: batch apply panicked: %v", errPipeline, r)
 			s.log.Error("panic in batch apply recovered; batch rejected",
 				"panic", r, "stack", string(debug.Stack()))
@@ -782,15 +829,15 @@ func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Resu
 		t0 = time.Now()
 		s.mBatchObjs.Record(uint64(len(objs)))
 	}
-	policy, quiet := s.cfg.TimePolicy, mode == quietBatch
+	quiet := mode == quietBatch
 	if len(s.slots) == 1 {
 		// Single-slot registry: apply inline, no pool hop — the dominant
 		// deployment stays on the legacy zero-overhead path.
-		s.slots[0].apply(objs, policy, quiet)
+		s.slots[0].apply(objs, quiet)
 	} else {
 		for _, sl := range s.slots {
 			sl := sl
-			s.pool.Submit(sl.worker, func() { sl.apply(objs, policy, quiet) })
+			s.pool.Submit(sl.worker, func() { sl.apply(objs, quiet) })
 		}
 		s.pool.Wait()
 	}
@@ -798,9 +845,6 @@ func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Resu
 	var firstErr error
 	anyOK := false
 	for _, sl := range s.slots {
-		if sl.clock > s.clock {
-			s.clock = sl.clock
-		}
 		if sl.pendErr != nil {
 			if firstErr == nil {
 				firstErr = sl.pendErr
@@ -809,23 +853,16 @@ func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Resu
 			anyOK = true
 		}
 	}
-	for _, t := range s.order {
-		sl := t.slot.Load()
-		if sl.pendPanicked {
-			continue
-		}
-		if sl.pendClamped > 0 {
-			t.clamped.Add(uint64(sl.pendClamped))
-		}
-		if mode == ingestBatch {
-			s.publishTenant(t, sl)
-			s.refreshTenantTopK(t, sl)
+	if mode == ingestBatch {
+		for _, t := range s.order {
+			if sl := t.slot.Load(); !sl.pendPanicked {
+				s.publishTenant(t, sl)
+				s.refreshTenantTopK(t, sl)
+			}
 		}
 	}
-	d := s.defTenant.slot.Load()
-	if !d.pendPanicked {
-		res, clamped = d.pendRes, d.pendClamped
-		s.clamped.Add(uint64(clamped))
+	if d := s.defTenant.slot.Load(); !d.pendPanicked {
+		res = d.pendRes
 	}
 	if anyOK {
 		s.objects.Add(uint64(len(objs)))
@@ -833,7 +870,7 @@ func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Resu
 		err = firstErr
 	}
 	s.noteBatch(t0, firstErr)
-	return res, clamped, err
+	return res, err
 }
 
 // publishTenant runs on the event loop: broadcast the tenant's answer when
@@ -851,7 +888,7 @@ func (s *Server) publishTenant(t *tenant, sl *engineSlot) {
 	t.eid++
 	t.notifs.Add(1)
 	s.notifs.Add(1)
-	n := client.Notification{Seq: t.seq, Time: sl.pendNow, Result: wire}
+	n := client.Notification{Seq: t.seq, Time: sl.det.Now(), Result: wire}
 	f := frame{eid: t.eid, burst: n, pub: time.Now()}
 	d := t.hub.broadcast(f)
 	t.dropped.Add(d)
@@ -879,7 +916,7 @@ func (s *Server) refreshTenantTopK(t *tenant, sl *engineSlot) {
 	s.topkNotifs.Add(1)
 	n := client.TopKNotification{
 		Seq:     t.tkSeq,
-		Time:    sl.pendNow,
+		Time:    sl.det.Now(),
 		K:       snap.K,
 		Results: snap.Results,
 	}
@@ -1003,7 +1040,7 @@ func (s *Server) restoreTenant(t *tenant, data []byte) error {
 			err = errUnknownQuery
 			return
 		}
-		now, live = sl.clock, sl.det.Live()
+		now, live = sl.det.Now(), sl.det.Live()
 		old := t.slot.Load()
 		sl.worker = old.worker
 		t.slot.Store(sl)
@@ -1012,17 +1049,9 @@ func (s *Server) restoreTenant(t *tenant, data []byte) error {
 			closeOld = old
 		}
 		s.rebuildSlots()
-		// Recompute the global clock as the max over slots: a single-query
-		// registry rewinds to the checkpoint's clock exactly like the
-		// single-detector server did.
-		clock := 0.0
-		for i, x := range s.slots {
-			if i == 0 || x.clock > clock {
-				clock = x.clock
-			}
-		}
-		s.clock = clock
-		s.statNow.Store(math.Float64bits(s.clock))
+		// A single-query registry rewinds to the checkpoint's clock; a
+		// checkpoint newer than the stream advances it for every query.
+		s.resetClock()
 		if t.isDefault {
 			s.statShards.Store(int64(sl.det.Shards()))
 		}
@@ -1304,7 +1333,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		found = 1
 	}
 	writeMetric(w, "surge_objects_ingested_total", "counter", "Objects applied to the detectors.", float64(s.objects.Load()))
-	writeMetric(w, "surge_objects_clamped_total", "counter", "Late default-query objects lifted to the stream clock (clamp policy).", float64(s.clamped.Load()))
+	writeMetric(w, "surge_objects_clamped_total", "counter", "Late objects lifted to the stream clock (clamp policy).", float64(s.clamped.Load()))
 	writeMetric(w, "surge_ingest_batches_total", "counter", "Detector synchronisations on the ingest path.", float64(s.batches.Load()))
 	writeMetric(w, "surge_ingest_errors_total", "counter", "Failed ingest requests.", float64(s.ingestErr.Load()))
 	writeMetric(w, "surge_notifications_total", "counter", "Bursty-region change notifications published (all queries).", float64(s.notifs.Load()))
@@ -1318,7 +1347,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetric(w, "surge_queries", "gauge", "Registered queries in the registry.", float64(s.queryCount()))
 	writeMetric(w, "surge_shards", "gauge", "Engine shards processing the default query.", float64(s.statShards.Load()))
 	writeMetric(w, "surge_live_objects", "gauge", "Objects inside the default query's sliding windows.", float64(dslot.statLive.Load()))
-	writeMetric(w, "surge_stream_time", "gauge", "Current stream clock (max across queries).", math.Float64frombits(s.statNow.Load()))
+	writeMetric(w, "surge_stream_time", "gauge", "Current stream clock: the newest decided timestamp.", math.Float64frombits(s.statNow.Load()))
 	writeMetric(w, "surge_best_found", "gauge", "Whether the default query currently has a bursty region.", found)
 	writeMetric(w, "surge_best_score", "gauge", "Burst score of the default query's current bursty region.", dres.Score)
 	writeMetric(w, "surge_engine_events_total", "counter", "Window events processed by the default query's engines (halo replicas counted per shard).", float64(dslot.engStats[0].Load()))
@@ -1371,8 +1400,6 @@ func (s *Server) writeQueryMetrics(w http.ResponseWriter) {
 			func(t *tenant, _ *engineSlot) float64 { return float64(t.dropped.Load()) }},
 		{"surge_query_topk_notifications_total", "counter", "Top-k change notifications published per query.",
 			func(t *tenant, _ *engineSlot) float64 { return float64(t.topkNotifs.Load()) }},
-		{"surge_query_clamped_total", "counter", "Late objects lifted to this query's stream clock (clamp policy).",
-			func(t *tenant, _ *engineSlot) float64 { return float64(t.clamped.Load()) }},
 		{"surge_query_subscribers", "gauge", "Open notification subscriptions per query.",
 			func(t *tenant, _ *engineSlot) float64 { return float64(t.hub.count()) }},
 		{"surge_query_live_objects", "gauge", "Objects inside this query's sliding windows.",

@@ -6,10 +6,12 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"surge"
 	"surge/client"
@@ -601,6 +603,35 @@ func TestBootFromCheckpoint(t *testing.T) {
 	}
 	if math.Float64bits(st.Result.Score) != math.Float64bits(want.Score) || st.Result.Found != want.Found {
 		t.Fatalf("booted state %+v != checkpoint source %+v", st.Result, want)
+	}
+}
+
+// TestBootCheckpointReleased pins that a server booted from
+// Config.Checkpoint does not keep the checkpoint bytes once its slots are
+// built: on a large -restore they are megabytes nothing reads again.
+func TestBootCheckpointReleased(t *testing.T) {
+	det, err := surge.New(surge.CellCSPOT, testOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer det.Close()
+	if _, err := det.PushBatch(testObjects(73, 500, 6)); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := det.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := weak.Make(&ckpt[0])
+	_, _, c := newTestServer(t, Config{Algorithm: surge.CellCSPOT, Options: testOptions(1), Checkpoint: ckpt})
+	ckpt = nil
+	runtime.GC()
+	runtime.GC()
+	if held.Value() != nil {
+		t.Fatal("the server keeps the boot checkpoint alive")
+	}
+	if st, err := c.Best(context.Background()); err != nil || st.Live == 0 {
+		t.Fatalf("restored server: live %d, err %v", st.Live, err)
 	}
 }
 

@@ -24,6 +24,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:           int(s.statShards.Load()),
 
 		Objects:       s.objects.Load(),
+		Clamped:       s.clamped.Load(),
 		Batches:       s.batches.Load(),
 		IngestErrors:  s.ingestErr.Load(),
 		Notifications: s.notifs.Load() + s.topkNotifs.Load(),
@@ -117,7 +118,6 @@ func (s *Server) tenantStats(t *tenant) client.QueryStats {
 		TopKFast:          t.topkFast.Load(),
 		Snapshots:         t.snapshots.Load(),
 		Restores:          t.restores.Load(),
-		Clamped:           t.clamped.Load(),
 	}
 	if rw := t.lastWire.Load(); rw != nil {
 		qs.Result = *rw

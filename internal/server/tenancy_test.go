@@ -12,11 +12,13 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"surge"
 	"surge/client"
+	"surge/internal/core"
 	"surge/internal/wal"
 )
 
@@ -321,16 +323,15 @@ func TestTenantIsolationSlowConsumer(t *testing.T) {
 	}
 }
 
-// TestTenantIsolationEngineError poisons one query's engine — a restore
-// puts its stream clock far ahead, so strict-policy ingest is out of order
-// for it alone — and asserts the blast radius: that query serves its stale
-// answer and reports the error in its stats, while ingest stays acked and
-// the other queries keep advancing.
+// TestTenantIsolationEngineError poisons one query's engine — its chain
+// panics in Process once armed (panic_test.go's boomEngine) — and asserts
+// the blast radius: that query serves its stale answer and reports the
+// error in its stats, while ingest stays acked and the other queries keep
+// advancing.
 func TestTenantIsolationEngineError(t *testing.T) {
-	_, _, c := newTestServer(t, Config{
+	s, _, c := newTestServer(t, Config{
 		Algorithm: surge.CellCSPOT, Options: testOptions(1),
 		BatchSize: 32, TimePolicy: Strict,
-		Queries: []client.QueryConfig{{ID: "poisoned"}},
 	})
 	_, _, ref := newTestServer(t, Config{
 		Algorithm: surge.CellCSPOT, Options: testOptions(1),
@@ -339,52 +340,60 @@ func TestTenantIsolationEngineError(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
+	// Only the poisoned query's chain is built while the wrap is installed.
+	var arm atomic.Bool
+	core.TestEngineWrap = func(e any) any {
+		if ts, ok := e.(core.TopKShard); ok {
+			return &boomEngine{TopKShard: ts, arm: &arm}
+		}
+		return e
+	}
+	_, err := s.CreateQuery(client.QueryConfig{ID: "poisoned"})
+	core.TestEngineWrap = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	objs := testObjects(77, 600, 4)
 	streamBatches(t, c, objs[:300], 32)
 	streamBatches(t, ref, objs[:300], 32)
-
-	// Build a checkpoint whose clock is beyond the whole test stream and
-	// restore it into the poisoned query only.
-	far, err := surge.New(surge.CellCSPOT, testOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer far.Close()
-	if _, err := far.PushBatch([]surge.Object{{X: 1, Y: 1, Weight: 1, Time: 1e9}}); err != nil {
-		t.Fatal(err)
-	}
-	farCk, err := far.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Query("poisoned").Restore(ctx, farCk); err != nil {
-		t.Fatal(err)
-	}
 	stale, err := c.Query("poisoned").Best(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Every further batch is out of order for the poisoned query and in
-	// order for the default: ingest must keep acking (at least one query
-	// applied it) and the default must stay bitwise equal to the reference.
-	streamBatches(t, c, objs[300:], 32)
-	streamBatches(t, ref, objs[300:], 32)
+	// Every further batch fails in the poisoned query's chain: ingest must
+	// keep acking (the default applied it) and the default must stay
+	// bitwise equal to the reference. The first failing batch moved the
+	// poisoned window's clock before the chain panicked; from then on the
+	// query is frozen.
+	arm.Store(true)
+	streamBatches(t, c, objs[300:332], 32)
+	streamBatches(t, ref, objs[300:332], 32)
+	failed, err := c.Query("poisoned").Best(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(failed.Result, stale.Result) {
+		t.Fatalf("poisoned query's answer moved when its chain panicked: %+v -> %+v", stale.Result, failed.Result)
+	}
+	streamBatches(t, c, objs[332:], 32)
+	streamBatches(t, ref, objs[332:], 32)
 	assertQueriesAgree(t, "default beside a failing tenant", c, ref)
 
 	qs, err := c.Query("poisoned").Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qs.Err == "" || !strings.Contains(qs.Err, "out-of-order") {
-		t.Fatalf("poisoned query stats err = %q, want the out-of-order window error", qs.Err)
+	if qs.Err == "" || !strings.Contains(qs.Err, "panicked") {
+		t.Fatalf("poisoned query stats err = %q, want the chain panic", qs.Err)
 	}
 	after, err := c.Query("poisoned").Best(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(after.Result, stale.Result) || after.Now != stale.Now {
-		t.Fatalf("poisoned query's answer moved under failing ingest: %+v -> %+v", stale, after)
+	if !reflect.DeepEqual(after.Result, stale.Result) || after.Now != failed.Now {
+		t.Fatalf("poisoned query's answer moved under failing ingest: %+v -> %+v", failed, after)
 	}
 }
 
@@ -668,5 +677,46 @@ func TestMultiQueryMetricsAndStats(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestMidStreamQuerySeesTheDecidedStream pins the one stream clock: a query
+// created mid-stream starts no clock of its own, so a late object is lifted
+// to the stream clock for it as for every other query, and the ack and the
+// server-wide count report the lift once.
+func TestMidStreamQuerySeesTheDecidedStream(t *testing.T) {
+	s, _, c := newTestServer(t, Config{Algorithm: surge.CellCSPOT, Options: testOptions(1), TimePolicy: Clamp})
+	ctx := context.Background()
+	objs := testObjects(61, 200, 4)
+	streamBatches(t, c, objs, 50)
+	clock := objs[len(objs)-1].Time
+	if _, err := s.CreateQuery(client.QueryConfig{ID: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := c.Ingest(ctx, []surge.Object{{X: 1, Y: 1, Weight: 1, Time: clock - 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Accepted != 1 || ack.Clamped != 1 {
+		t.Fatalf("ack accepted %d clamped %d, want 1/1", ack.Accepted, ack.Clamped)
+	}
+	for _, q := range []struct {
+		id  string
+		api queryAPI
+	}{{DefaultQueryID, c}, {"late", c.Query("late")}} {
+		st, err := q.api.Best(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Now != clock {
+			t.Fatalf("query %q: now %v, want the late object lifted to the stream clock %v", q.id, st.Now, clock)
+		}
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Clamped != 1 {
+		t.Fatalf("stats clamped %d, want 1", st.Clamped)
 	}
 }

@@ -77,17 +77,9 @@ type engineSlot struct {
 
 	det *surge.TopKDetector // the chain serving best and top-k
 
-	// clock is this slot's stream clock: the largest timestamp its engine
-	// has ingested. Per-slot, not global, so a tenant created mid-stream or
-	// restored from an old checkpoint clamps exactly like an independent
-	// single-query server would.
-	clock float64
-
 	// Per-batch outputs: written by apply on the slot's worker, read by the
 	// event loop after the pool barrier.
 	pendRes      surge.Result
-	pendNow      float64
-	pendClamped  int
 	pendErr      error
 	pendPanicked bool
 
@@ -96,12 +88,6 @@ type engineSlot struct {
 	// the slot refuses every later batch and serves its last good answer;
 	// /healthz reports it. Written by apply, read by the loop between batches.
 	failed error
-
-	// scratch receives a copy of the shared ingest chunk when the clamp
-	// policy must lift timestamps for this slot: the chunk is read-only
-	// across slots, and a time-ordered stream never needs the copy, so the
-	// shared ingest plane stays allocation- and copy-free per object.
-	scratch []surge.Object
 
 	lastTopK []surge.Result
 	tkSnap   *client.TopK // wire snapshot of lastTopK; rebuilt only on change
@@ -116,21 +102,21 @@ type engineSlot struct {
 }
 
 // apply runs on the slot's pool worker (or inline on the loop when the
-// registry holds a single slot): apply the time policy against this slot's
-// own clock, push the batch, refresh the top-k snapshot and the stat
-// mirrors. A quiet apply — boot replay of an unsequenced WAL record — goes
-// through TopKDetector.Replay instead and reads nothing: the chain catches
-// up at the slot's next read. A panic — an engine bug tripped by this
-// batch — is recovered into pendErr/pendPanicked so one broken tenant
-// engine never takes the worker, the loop, or the other tenants down.
-func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy, quiet bool) {
-	sl.pendClamped, sl.pendErr, sl.pendPanicked = 0, sl.failed, sl.failed != nil
+// registry holds a single slot): push the batch, refresh the top-k snapshot
+// and the stat mirrors. The batch is already decided against the stream
+// clock (Server.decide), so it is in time order for every slot. A quiet
+// apply — boot replay of an unsequenced WAL record — goes through
+// TopKDetector.Replay instead and reads nothing: the chain catches up at the
+// slot's next read. A panic — an engine bug tripped by this batch — is
+// recovered into pendErr/pendPanicked so one broken tenant engine never
+// takes the worker, the loop, or the other tenants down.
+func (sl *engineSlot) apply(objs []surge.Object, quiet bool) {
+	sl.pendErr, sl.pendPanicked = sl.failed, sl.failed != nil
 	if sl.failed != nil {
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			sl.pendClamped = 0
 			sl.pendErr = fmt.Errorf("%w: batch apply panicked: %v", errPipeline, r)
 			sl.pendPanicked = true
 			sl.failed = sl.pendErr
@@ -138,42 +124,13 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy, quiet bool) 
 			sl.errMsg.Store(&msg)
 		}
 	}()
-	use := objs
-	if policy == Clamp {
-		copied := false
-		for i := 0; i < len(use); i++ {
-			if use[i].Time < sl.clock {
-				if !copied {
-					// First lift: move to the private scratch copy so the
-					// shared chunk stays untouched for the other slots.
-					sl.scratch = append(sl.scratch[:0], objs...)
-					use = sl.scratch
-					copied = true
-				}
-				use[i].Time = sl.clock
-				sl.pendClamped++
-			} else {
-				sl.clock = use[i].Time
-			}
-		}
-	} else {
-		for i := range use {
-			if use[i].Time > sl.clock {
-				sl.clock = use[i].Time
-			}
-		}
-	}
 	var res []surge.Result
 	var err error
 	if quiet {
-		err = sl.det.Replay(use)
+		err = sl.det.Replay(objs)
 	} else {
-		res, err = sl.det.PushBatch(use)
+		res, err = sl.det.PushBatch(objs)
 	}
-	if now := sl.det.Now(); now > sl.clock {
-		sl.clock = now
-	}
-	sl.pendNow = sl.det.Now()
 	if err != nil {
 		// The previous answer stands.
 		if sl.det.Err() != nil {
@@ -188,17 +145,17 @@ func (sl *engineSlot) apply(objs []surge.Object, policy TimePolicy, quiet bool) 
 		if !quiet {
 			sl.pendRes = res[0]
 		}
-		// errMsg mirrors the newest apply's outcome: a per-batch window
-		// error (invisible in the shared ingest ack when another slot
-		// succeeded) surfaces in this query's stats until a batch applies
-		// cleanly again; sticky pipeline errors re-store every batch.
+		// errMsg mirrors the newest apply's outcome: a per-batch error
+		// (invisible in the shared ingest ack when another slot succeeded)
+		// surfaces in this query's stats until a batch applies cleanly
+		// again; sticky pipeline errors re-store every batch.
 		sl.errMsg.Store(nil)
 	}
 	if quiet {
 		return
 	}
 	sl.refreshTopKLocal()
-	sl.statNow.Store(math.Float64bits(sl.clock))
+	sl.statNow.Store(math.Float64bits(sl.det.Now()))
 	sl.statLive.Store(uint64(sl.det.Live()))
 	if now := time.Now(); now.UnixNano()-sl.lastStatsNano >= int64(engineStatsInterval) {
 		sl.refreshEngineStats(now)
@@ -281,7 +238,6 @@ type tenant struct {
 	topkFast   atomic.Uint64
 	snapshots  atomic.Uint64
 	restores   atomic.Uint64
-	clamped    atomic.Uint64
 }
 
 // tenantSeed is one query to register at boot: its resolved configuration
@@ -315,7 +271,7 @@ func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, clock: det.Now(), statShards: det.Shards()}
+	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, statShards: det.Shards()}
 	sl.read() // BestK has k >= 1 slots, so the first call always builds tkSnap
 	return sl, nil
 }
@@ -325,8 +281,7 @@ func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
 func (sl *engineSlot) read() {
 	sl.refreshTopKLocal()
 	sl.pendRes = sl.lastTopK[0]
-	sl.pendNow = sl.det.Now()
-	sl.statNow.Store(math.Float64bits(sl.clock))
+	sl.statNow.Store(math.Float64bits(sl.det.Now()))
 	sl.statLive.Store(uint64(sl.det.Live()))
 	sl.refreshEngineStats(time.Now())
 }
