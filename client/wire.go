@@ -87,13 +87,17 @@ type EngineStats struct {
 	CellsTouched uint64 `json:"cells_touched"`
 }
 
-// State is a point-in-time view of the detector: the answer of /v1/best,
-// the payload of the SSE "hello" event, and the reply to /v1/restore.
+// State is one query's published view: the answer of /v1/best, the payload
+// of the SSE "hello" event, and the reply to /v1/restore. The server
+// publishes a fresh one after every applied batch, before acknowledging the
+// batch, so a read that follows an ingest ack reflects it; reads never wait
+// on ingest. A hello with Events = E reflects every event up to E, and the
+// stream continues at exactly E+1.
 type State struct {
 	Seq    uint64      `json:"seq"`             // sequence number of the latest bursty-region change
 	Epoch  uint64      `json:"epoch,omitempty"` // server stream epoch; SSE ids are "epoch.eid" (0 from pre-epoch servers)
 	Events uint64      `json:"events"`          // SSE events published (burst + topk); the hello's event id
-	Now    float64     `json:"now"`             // stream clock
+	Now    float64     `json:"now"`             // stream clock; 0 until the first object is decided
 	Live   int         `json:"live"`
 	Shards int         `json:"shards"`
 	Result Result      `json:"result"`
@@ -160,7 +164,7 @@ type Health struct {
 	Version     string  `json:"version"`    // module build version ("dev" for source builds)
 	GoVersion   string  `json:"go_version"` // Go toolchain that built the server
 	Shards      int     `json:"shards"`
-	Now         float64 `json:"now"`
+	Now         float64 `json:"now"` // the default query's stream clock; 0 until the first object
 	Live        int     `json:"live"`
 	Subscribers int     `json:"subscribers"`
 	// Queries is the number of registered queries (at least 1: the default).
@@ -232,14 +236,14 @@ type RuntimeStats struct {
 // StatsSnapshot is the reply to /v1/stats: a typed, point-in-time view of
 // the pipeline's telemetry — the same numbers /metrics renders for
 // Prometheus, shaped for programmatic consumers. It is assembled entirely
-// from lock-free counters, loop-state mirrors and histogram snapshots, so
-// the endpoint answers even when the event loop is wedged (mirror values
-// are then the last state the loop published).
+// from lock-free counters, the queries' published views and histogram
+// snapshots, so the endpoint answers even when the event loop is wedged
+// (the views are then the last state the loop published).
 type StatsSnapshot struct {
 	UptimeSec        float64 `json:"uptime_sec"`
 	LastIngestAgeSec float64 `json:"last_ingest_age_sec"` // -1 before the first ingest
 	LoopTickAgeSec   float64 `json:"loop_tick_age_sec"`   // -1 before the first lag probe
-	Now              float64 `json:"now"`                 // stream clock
+	Now              float64 `json:"now"`                 // the default query's stream clock; 0 until the first object
 	Live             int     `json:"live"`
 	Shards           int     `json:"shards"`
 
@@ -354,7 +358,7 @@ type QueryInfo struct {
 	// registry entries of identical configuration (boot-time dedup; the
 	// answers are identical either way).
 	Shared      bool    `json:"shared,omitempty"`
-	Now         float64 `json:"now"`
+	Now         float64 `json:"now"` // stream clock; 0 until the first object
 	Live        int     `json:"live"`
 	Subscribers int     `json:"subscribers"`
 	Result      Result  `json:"result"`
@@ -367,14 +371,15 @@ type QueryList struct {
 
 // QueryStats is one query's telemetry block: the reply to
 // /v1/queries/{id}/stats and the per-query rows of /v1/stats. Like the
-// server-wide snapshot it is assembled lock-free from counters and mirrors.
+// server-wide snapshot it is assembled lock-free from counters and the
+// query's published view.
 type QueryStats struct {
 	ID         string  `json:"id"`
 	Algorithm  string  `json:"algorithm"`
 	TopK       int     `json:"topk"`
 	Continuous bool    `json:"continuous"`
 	Shards     int     `json:"shards"`
-	Now        float64 `json:"now"`
+	Now        float64 `json:"now"` // stream clock; 0 until the first object
 	Live       int     `json:"live"`
 	Result     Result  `json:"result"`
 

@@ -204,11 +204,7 @@ func runServe(args []string) error {
 
 	// Report the effective query options: a -restore checkpoint defines
 	// the geometry, overriding the width/height/window/alpha flags.
-	eff, err := s.DetectorOptions()
-	if err != nil {
-		s.Close()
-		return err
-	}
+	eff := s.DetectorOptions()
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("surged serving",

@@ -248,7 +248,21 @@
 // restored from a checkpoint older than the stream, is held to the
 // server's clock, not a clock of its own, and a restore from a newer
 // checkpoint advances the clock for every query (restoring a single-query
-// server sets the clock to the checkpoint's). A subscriber that falls
+// server sets the clock to the checkpoint's).
+//
+// Reads serve the last batch's view. After every applied batch, before the
+// batch is acknowledged, the loop publishes one immutable view per query —
+// its state (sequence, event count, clock, live objects, shards, rank-1
+// answer, engine counters), its top-k snapshot and its error — and
+// /v1/best, /v1/topk, the SSE hello, the /v1/restore reply, the stats and
+// registry rows, the /metrics gauges and /healthz each read it with one
+// atomic load. So a read never queues behind ingest, a read that follows
+// an ack reflects that batch, and every surface reports the same state; of
+// the reads, only /healthz's liveness probe and snapshots wait on the loop.
+// A hello with events=E reflects every event up to E and the stream
+// continues at exactly E+1. The clock reads 0 until the first object is
+// decided. A query whose engine failed keeps serving its last good view,
+// with the error. A subscriber that falls
 // behind its buffer loses
 // oldest-first notifications, with the loss counted on the next delivered
 // notification — never silently; a subscriber that reconnects with the
@@ -495,11 +509,14 @@
 // (histograms as summaries with p50/p90/p99/p999, _sum and _count), GET
 // /v1/stats returns the same data as a typed JSON snapshot
 // (client.StatsSnapshot, fetched by client.Stats), and both are served
-// entirely from atomics and loop-state mirrors — no event-loop round-trip,
-// so the scrape keeps answering (with the loop's last published state)
-// when the loop is wedged, which is exactly when the numbers matter.
-// /healthz bounds its loop probe with a timeout and reports a stalled loop
-// as a 503 instead of hanging.
+// entirely from atomics, the queries' published views and histogram
+// snapshots — no event-loop round-trip, so the scrape keeps answering
+// (with the loop's last published state) when the loop is wedged, which is
+// exactly when the numbers matter. The engine counters (surge_engine_*) are
+// read into the view after every batch, so a scrape agrees with /v1/best.
+// /healthz reads the views too; its one loop round trip is an empty probe,
+// bounded by a timeout, that reports a stalled loop as a 503 instead of
+// hanging.
 //
 // Latency and value histograms (summaries):
 //

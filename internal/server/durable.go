@@ -268,11 +268,8 @@ func (s *Server) replayLog(wlog *wal.Log, after uint64, ws *walState) error {
 		}
 	}
 	for _, t := range s.order {
-		sl := t.slot.Load()
-		s.publishTenant(t, sl)
-		s.refreshTenantTopK(t, sl)
+		s.publish(t, t.slot.Load())
 	}
-	s.statNow.Store(math.Float64bits(s.clock))
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,26 +15,53 @@ import (
 	"surge/client"
 )
 
-// TestScrapeEndpointsSurviveWedgedLoop is the lock-free-scrape regression
-// test: /metrics and /v1/stats must answer from mirrors while the event
-// loop is wedged (they used to round-trip the loop and 503), and /healthz
-// must report the stall with a 503 instead of hanging.
+// TestScrapeEndpointsSurviveWedgedLoop is the off-loop read regression
+// test: /metrics, /v1/stats and every query read — /v1/best, /v1/topk, the
+// registry and a fresh SSE hello — must answer with the last published
+// state while the event loop is wedged, and /healthz must report the stall
+// with a 503 instead of hanging.
 func TestScrapeEndpointsSurviveWedgedLoop(t *testing.T) {
 	s, ts, c := newTestServer(t, Config{
 		Algorithm: surge.CellCSPOT, Options: testOptions(2), TimePolicy: Clamp,
 	})
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	if _, err := c.Ingest(ctx, testObjects(71, 300, 6)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.Best(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topk, err := c.TopK(ctx, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	s.healthTimeout = 50 * time.Millisecond
 
-	// Wedge the loop: the closure holds it until the test ends.
-	block := make(chan struct{})
-	started := make(chan struct{})
-	go s.do(func() { close(started); <-block })
-	<-started
-	defer close(block)
+	// Wedge the loop until the test ends.
+	defer wedge(s)()
+
+	for _, best := range []func(context.Context) (*client.State, error){c.Best, c.Query(DefaultQueryID).Best} {
+		st, err := best(ctx)
+		if err != nil || !reflect.DeepEqual(st, before) {
+			t.Fatalf("best with a wedged loop = %+v, %v; want the published %+v", st, err, before)
+		}
+	}
+	if tk, err := c.TopK(ctx, 0); err != nil || !reflect.DeepEqual(tk, topk) {
+		t.Fatalf("topk with a wedged loop = %+v, %v; want the published %+v", tk, err, topk)
+	}
+	if list, err := c.Queries(ctx); err != nil || len(list.Queries) != 1 || list.Queries[0].Live != before.Live {
+		t.Fatalf("query list with a wedged loop = %+v, %v", list, err)
+	}
+	sub, err := c.Subscribe(ctx)
+	if err != nil {
+		t.Fatalf("subscribe with a wedged loop: %v", err)
+	}
+	if hello := sub.Hello(); !reflect.DeepEqual(hello, *before) {
+		t.Fatalf("hello with a wedged loop = %+v, want the published %+v", hello, before)
+	}
+	sub.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -83,9 +111,9 @@ func TestScrapeEndpointsSurviveWedgedLoop(t *testing.T) {
 	if h.OK || !strings.Contains(h.Err, "stalled") {
 		t.Fatalf("wedged /healthz = %+v, want OK=false with a stalled-loop error", h)
 	}
-	// Mirror values still describe the last loop-published state.
-	if h.Shards != 2 || h.Live == 0 {
-		t.Fatalf("wedged /healthz lost the mirror state: %+v", h)
+	// The default query's view still describes the last published state.
+	if h.Shards != 2 || h.Live != before.Live {
+		t.Fatalf("wedged /healthz lost the published state: %+v", h)
 	}
 }
 

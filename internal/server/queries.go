@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 
 	"surge/client"
@@ -155,11 +154,13 @@ func (s *Server) removeTenant(t *tenant) error {
 	return nil
 }
 
-// queryInfo assembles one registry entry's wire description, lock-free.
+// queryInfo assembles one registry entry's wire description, lock-free:
+// the chain's immutable options and the query's view.
 func (s *Server) queryInfo(t *tenant) client.QueryInfo {
 	sl := t.slot.Load()
+	v := t.view.Load()
 	o := sl.det.Options()
-	info := client.QueryInfo{
+	return client.QueryInfo{
 		QueryConfig: client.QueryConfig{
 			ID:             t.id,
 			Algorithm:      t.cfg.Algorithm.String(),
@@ -169,27 +170,21 @@ func (s *Server) queryInfo(t *tenant) client.QueryInfo {
 			PastWindow:     o.PastWindow,
 			Alpha:          o.Alpha,
 			TopK:           t.cfg.TopK,
-			Shards:         sl.statShards,
+			Shards:         v.state.Shards,
 			ShardBlockCols: t.cfg.Options.ShardBlockCols,
 		},
 		Default:     t.isDefault,
 		Continuous:  true,
 		Shared:      sl.refs.Load() > 1,
-		Now:         math.Float64frombits(sl.statNow.Load()),
-		Live:        int(sl.statLive.Load()),
+		Now:         v.state.Now,
+		Live:        v.state.Live,
 		Subscribers: t.hub.count(),
+		Result:      v.state.Result,
 	}
-	if rw := t.lastWire.Load(); rw != nil {
-		info.Result = *rw
-	}
-	return info
 }
 
 func (s *Server) handleQueryList(w http.ResponseWriter, r *http.Request) {
-	s.tenMu.RLock()
-	tenants := make([]*tenant, len(s.order))
-	copy(tenants, s.order)
-	s.tenMu.RUnlock()
+	tenants := s.tenantList()
 	out := client.QueryList{Queries: make([]client.QueryInfo, 0, len(tenants))}
 	for _, t := range tenants {
 		out.Queries = append(out.Queries, s.queryInfo(t))

@@ -42,10 +42,13 @@
 // engines (CCS, B-CCS, Base, GAPS, MGAPS). N tenants of identical
 // configuration answer bitwise identically to N independent single-query
 // servers fed the same stream.
+//
+// Reads never wait on ingest: after every batch, before its ack, the loop
+// publishes one immutable view per query (see view), and every read
+// surface is one atomic load of it.
 package server
 
 import (
-	"cmp"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/json"
@@ -57,6 +60,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -262,15 +266,8 @@ type Server struct {
 	mLag        *obs.Histogram // loop lag probe
 	mSSEDeliver *obs.Histogram // publish -> written to subscriber
 
-	// Loop-state mirrors: the event loop writes them after every batch (and
-	// on restore) so /metrics, /healthz and /v1/stats read consistent
-	// pipeline state without a loop round-trip — the scrape path keeps
-	// working even when the loop is wedged. Per-query mirrors live on the
-	// slots and tenants.
-	statNow        atomic.Uint64 // global stream clock (float64 bits)
-	statShards     atomic.Int64  // default query's shard count
-	lastIngestNano atomic.Int64  // wall clock of the last applied batch
-	lastTickNano   atomic.Int64  // wall clock of the last loop-lag probe completion
+	lastIngestNano atomic.Int64 // wall clock of the last applied batch
+	lastTickNano   atomic.Int64 // wall clock of the last loop-lag probe completion
 }
 
 // New builds the query registry and starts the event loop.
@@ -385,17 +382,17 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 	s.resetClock()
 	// The slots hold the restored state; the checkpoint bytes are dead.
 	s.cfg.Checkpoint = nil
+	dv := s.defTenant.view.Load().state
 	log := s.log
 	if cfg.Checkpoint != nil {
-		log = log.With("restore_sec", time.Since(t0).Seconds(), "live", s.defTenant.slot.Load().statLive.Load())
+		log = log.With("restore_sec", time.Since(t0).Seconds(), "live", dv.Live)
 	}
-	s.statShards.Store(int64(s.defTenant.slot.Load().statShards))
 	s.routes()
 	go s.loop()
 	go s.lagLoop()
 	log.Info("server started",
 		"algorithm", cfg.Algorithm.String(),
-		"shards", s.defTenant.slot.Load().statShards,
+		"shards", dv.Shards,
 		"topk", cfg.TopK,
 		"restored", cfg.Checkpoint != nil,
 		"queries", len(s.order),
@@ -409,10 +406,6 @@ const (
 	defaultHealthTimeout = 2 * time.Second
 	// lagProbeInterval paces the self-timed event-loop lag probe.
 	lagProbeInterval = 500 * time.Millisecond
-	// engineStatsInterval throttles the det.Stats() refresh per slot: on
-	// a sharded detector Stats is a pipeline barrier, so the mirrors trade
-	// up to a second of staleness for a bounded, batch-independent cost.
-	engineStatsInterval = time.Second
 )
 
 // buildVersion is the module version baked into the binary, "dev" for
@@ -456,15 +449,13 @@ func (s *Server) probeLag() {
 
 // noteBatch runs on the event loop after a batch lands on every slot:
 // stamp the ingest clock and price the apply (an ingest batch that did not
-// panic: t0 is nonzero), refresh the global mirrors and log the first
-// degraded-mode transition.
+// panic: t0 is nonzero) and log the first degraded-mode transition.
 func (s *Server) noteBatch(t0 time.Time, err error) {
 	if !t0.IsZero() {
 		now := time.Now()
 		s.lastIngestNano.Store(now.UnixNano())
 		s.mApply.Observe(now.Sub(t0))
 	}
-	s.statNow.Store(math.Float64bits(s.clock))
 	if err != nil && !s.degradedOnce {
 		s.degradedOnce = true
 		s.log.Error("pipeline degraded: batch apply failed, the failed query serves stale answers", "err", err)
@@ -548,16 +539,14 @@ func (s *Server) do(fn func()) error {
 // inside the timeout: the process is up but the stream pipeline is wedged.
 var errLoopStalled = errors.New("server: event loop stalled")
 
-// doTimeout is do with a deadline. On timeout the closure may still run
-// later (the loop owns it once submitted), so fn must only write state that
-// is safe to publish late — the handlers pass loop-owned mirrors or dedicated
-// heap cells they stop reading on the timeout path.
-func (s *Server) doTimeout(fn func(), d time.Duration) error {
+// probeLoop is /healthz's liveness barrier: an empty op the event loop must
+// run within d.
+func (s *Server) probeLoop(d time.Duration) error {
 	ran := make(chan struct{})
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
-	case s.reqs <- func() { defer close(ran); fn() }:
+	case s.reqs <- func() { close(ran) }:
 	case <-s.quit:
 		return ErrClosed
 	case <-timer.C:
@@ -668,13 +657,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // DetectorOptions returns the default query's effective engine
 // configuration, which differs from Config.Options when the server was
 // seeded from (or live-restored to) a checkpoint with different query
-// options.
-func (s *Server) DetectorOptions() (surge.Options, error) {
-	var o surge.Options
-	if err := s.do(func() { o = s.defTenant.slot.Load().det.Options() }); err != nil {
-		return surge.Options{}, err
-	}
-	return o, nil
+// options. A chain's options are immutable, so this reads them off-loop.
+func (s *Server) DetectorOptions() surge.Options {
+	return s.defTenant.slot.Load().det.Options()
 }
 
 // tenantHandler is an HTTP handler scoped to one registered query.
@@ -683,10 +668,17 @@ type tenantHandler func(t *tenant, w http.ResponseWriter, r *http.Request)
 // handleTenant mounts h on each pattern, "METHOD path". The {id} path value
 // picks the query — empty, as on the /v1/<verb> paths that carry none, means
 // the default query — and an id the registry does not hold answers 404 with
-// code "unknown_query".
+// code "unknown_query". Once the server is closed every query route
+// answers 503.
 func (s *Server) handleTenant(h tenantHandler, patterns ...string) {
 	for _, p := range patterns {
 		s.mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-s.quit:
+				writeError(w, http.StatusServiceUnavailable, ErrClosed, 0)
+				return
+			default:
+			}
 			t := s.defTenant
 			if id := r.PathValue("id"); id != "" {
 				s.tenMu.RLock()
@@ -801,18 +793,17 @@ func (s *Server) resetClock() {
 			s.clock = now
 		}
 	}
-	s.statNow.Store(math.Float64bits(s.clock))
 }
 
 // applyBatch runs on the event loop: fan the shared, decided batch out to
 // every engine slot over the worker pool, wait at the barrier, then publish
-// each tenant's answer if it changed. The slots only read the chunk, so one
-// parse serves the whole registry. The counters count every mode.
+// each tenant's view and its answer changes. The slots only read the chunk,
+// so one parse serves the whole registry. The counters count every mode.
 //
 // Failure isolation: a slot whose apply fails or panics keeps serving its
-// last good state and its tenants see no publication for the batch; the
-// other slots publish normally. The ingest ack fails only when no slot
-// accepted the batch — with a single registered query this reproduces the
+// last good state, with the error in its tenants' views; the other slots
+// publish normally. The ingest ack fails only when no slot accepted the
+// batch — with a single registered query this reproduces the
 // single-detector server's semantics exactly.
 func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Result, err error) {
 	defer func() {
@@ -855,10 +846,7 @@ func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Resu
 	}
 	if mode == ingestBatch {
 		for _, t := range s.order {
-			if sl := t.slot.Load(); !sl.pendPanicked {
-				s.publishTenant(t, sl)
-				s.refreshTenantTopK(t, sl)
-			}
+			s.publish(t, t.slot.Load())
 		}
 	}
 	if d := s.defTenant.slot.Load(); !d.pendPanicked {
@@ -873,57 +861,101 @@ func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Resu
 	return res, err
 }
 
-// publishTenant runs on the event loop: broadcast the tenant's answer when
-// it changed. Change detection is exact (bitwise on the score), so each
-// query's notification stream matches an offline run bit-for-bit.
-func (s *Server) publishTenant(t *tenant, sl *engineSlot) {
-	res := sl.pendRes
-	if res == t.last {
+// publish runs on the event loop after a batch, a restore or boot replay:
+// store the tenant's new view, then broadcast the answer changes it covers.
+// Change detection is exact (bitwise on the score), so each query's
+// notification stream matches an offline run bit-for-bit. The slot's top-k
+// snapshot pointer is the top-k change signal (the slot rebuilds it only on
+// a bitwise answer change); a content-equal snapshot from a different slot —
+// a restore that reproduced the same answer — is adopted silently.
+//
+// The view goes out before its frames: a subscriber that joins the hub and
+// then loads a view with Events = E is sent every frame above E, and drops
+// the ones at or below E that the hello already covers (handleSubscribe).
+//
+// A failed chain serves its last good answer, so its tenants keep their
+// last good view and gain the error; nothing calls into a panicked engine.
+func (s *Server) publish(t *tenant, sl *engineSlot) {
+	old := t.view.Load()
+	if err := sl.pendErr; sl.pendPanicked || sl.det.Err() != nil {
+		if err == nil {
+			err = sl.det.Err() // the chain failed on the read that ends boot replay
+		}
+		if e := err.Error(); e != old.err {
+			v := *old
+			v.err = e
+			t.view.Store(&v)
+		}
 		return
 	}
-	t.last = res
-	wire := client.FromResult(res)
-	t.lastWire.Store(&wire)
-	t.seq++
-	t.eid++
-	t.notifs.Add(1)
-	s.notifs.Add(1)
-	n := client.Notification{Seq: t.seq, Time: sl.det.Now(), Result: wire}
-	f := frame{eid: t.eid, burst: n, pub: time.Now()}
-	d := t.hub.broadcast(f)
-	t.dropped.Add(d)
-	s.dropped.Add(d)
+	var fs [2]frame
+	n := 0
+	wire := old.state.Result
+	if res := sl.pendRes; res != t.last {
+		t.last = res
+		wire = client.FromResult(res)
+		t.seq++
+		t.eid++
+		t.notifs.Add(1)
+		s.notifs.Add(1)
+		fs[n] = frame{eid: t.eid, burst: client.Notification{Seq: t.seq, Result: wire}}
+		n++
+	}
+	if snap := sl.tkSnap; snap != old.topk && !topkWireEqual(old.topk, snap) {
+		t.tkSeq++
+		t.eid++
+		t.topkNotifs.Add(1)
+		s.topkNotifs.Add(1)
+		fs[n] = frame{eid: t.eid, topk: true, tk: client.TopKNotification{Seq: t.tkSeq, K: snap.K, Results: snap.Results}}
+		n++
+	}
+	v := s.viewOf(t, sl, wire)
+	t.view.Store(v)
+	pub := time.Now()
+	for i := range fs[:n] {
+		f := &fs[i]
+		f.burst.Time, f.tk.Time, f.pub = v.state.Now, v.state.Now, pub
+		d := t.hub.broadcast(*f)
+		t.dropped.Add(d)
+		s.dropped.Add(d)
+	}
 }
 
-// refreshTenantTopK runs on the event loop: adopt the slot's latest top-k
-// snapshot and broadcast a "topk" event when the answer changed. The slot
-// snapshot pointer is the change signal (the slot rebuilds it only on a
-// bitwise answer change); a content-equal snapshot from a different slot —
-// a restore that reproduced the same answer — is adopted silently.
-func (s *Server) refreshTenantTopK(t *tenant, sl *engineSlot) {
-	snap := sl.tkSnap
-	old := t.topkSnap.Load()
-	if old == snap {
-		return
+// viewOf assembles a tenant's view from its slot's chain, with res as the
+// rank-1 answer: the one place read state is built. It runs on the event
+// loop, or at boot before the loop starts. Right after a push, Stats is the
+// chain's cached sum (no pipeline barrier), so it is read every time.
+func (s *Server) viewOf(t *tenant, sl *engineSlot, res client.Result) *view {
+	now := sl.det.Now()
+	if now == -math.MaxFloat64 {
+		// The empty window's sentinel: no object is decided yet. The loop's
+		// clock keeps it (negative times are valid); reads say 0.
+		now = 0
 	}
-	t.topkSnap.Store(snap)
-	if topkWireEqual(old, snap) {
-		return
+	st := sl.det.Stats()
+	v := &view{
+		state: client.State{
+			Seq:    t.seq,
+			Epoch:  s.epoch,
+			Events: t.eid,
+			Now:    now,
+			Live:   sl.det.Live(),
+			Shards: sl.det.Shards(),
+			Result: res,
+			Stats: client.EngineStats{
+				Events:       st.Events,
+				Searches:     st.Searches,
+				SearchEvents: st.SearchEvents,
+				SweepEntries: st.SweepEntries,
+				CellsTouched: st.CellsTouched,
+			},
+		},
+		topk: sl.tkSnap,
 	}
-	t.tkSeq++
-	t.eid++
-	t.topkNotifs.Add(1)
-	s.topkNotifs.Add(1)
-	n := client.TopKNotification{
-		Seq:     t.tkSeq,
-		Time:    sl.det.Now(),
-		K:       snap.K,
-		Results: snap.Results,
+	if sl.pendErr != nil {
+		v.err = sl.pendErr.Error()
 	}
-	f := frame{eid: t.eid, topk: true, tk: n, pub: time.Now()}
-	d := t.hub.broadcast(f)
-	t.dropped.Add(d)
-	s.dropped.Add(d)
+	return v
 }
 
 // topkEqual compares two top-k answers bitwise (scores, regions, found).
@@ -957,30 +989,6 @@ func topkWireEqual(a, b *client.TopK) bool {
 		}
 	}
 	return true
-}
-
-// tenantState runs on the event loop: snapshot one query's queryable
-// state. Best and Stats are pipeline synchronisation points on a sharded
-// detector.
-func (s *Server) tenantState(t *tenant) client.State {
-	sl := t.slot.Load()
-	st := sl.det.Stats()
-	return client.State{
-		Seq:    t.seq,
-		Epoch:  s.epoch,
-		Events: t.eid,
-		Now:    sl.det.Now(),
-		Live:   sl.det.Live(),
-		Shards: sl.det.Shards(),
-		Result: client.FromResult(sl.det.BestK()[0]),
-		Stats: client.EngineStats{
-			Events:       st.Events,
-			Searches:     st.Searches,
-			SearchEvents: st.SearchEvents,
-			SweepEntries: st.SweepEntries,
-			CellsTouched: st.CellsTouched,
-		},
-	}
 }
 
 // Snapshot checkpoints the default query's detector (consistent: it runs
@@ -1052,13 +1060,9 @@ func (s *Server) restoreTenant(t *tenant, data []byte) error {
 		// A single-query registry rewinds to the checkpoint's clock; a
 		// checkpoint newer than the stream advances it for every query.
 		s.resetClock()
-		if t.isDefault {
-			s.statShards.Store(int64(sl.det.Shards()))
-		}
 		s.restores.Add(1)
 		t.restores.Add(1)
-		s.publishTenant(t, sl)
-		s.refreshTenantTopK(t, sl)
+		s.publish(t, sl)
 		if s.wal != nil {
 			// Capture the restored registry and the WAL position inside the
 			// swap, so the durable checkpoint written below supersedes every
@@ -1096,33 +1100,18 @@ func (s *Server) restoreTenant(t *tenant, data []byte) error {
 	return nil
 }
 
+// handleBest serves one query's state from its view.
 func (s *Server) handleBest(t *tenant, w http.ResponseWriter, r *http.Request) {
-	var st client.State
-	var terr error
-	if err := s.do(func() {
-		if t.dead {
-			terr = errUnknownQuery
-			return
-		}
-		st = s.tenantState(t)
-	}); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err, 0)
-		return
-	}
-	if terr != nil {
-		writeErrorCode(w, http.StatusNotFound, client.CodeUnknownQuery, 0, terr, 0)
-		return
-	}
-	writeJSON(w, st)
+	writeJSON(w, t.view.Load().state)
 }
 
-// handleTopK serves one query's top-k bursty regions: one atomic load of the
-// snapshot the event loop keeps current — O(1) per request, off the loop,
-// allocation-free. The greedy chain is prefix-stable (rank i never depends
-// on ranks > i), so any k up to the maintained one is a prefix of the
-// snapshot; a larger k is a 400 (register a query with a larger topk).
+// handleTopK serves one query's top-k bursty regions from its view's
+// snapshot — O(1) per request, off the loop. The greedy chain is
+// prefix-stable (rank i never depends on ranks > i), so any k up to the
+// maintained one is a prefix of the snapshot; a larger k is a 400 (register
+// a query with a larger topk).
 func (s *Server) handleTopK(t *tenant, w http.ResponseWriter, r *http.Request) {
-	out := *t.topkSnap.Load()
+	out := *t.view.Load().topk
 	if qk := r.URL.Query().Get("k"); qk != "" {
 		k, err := strconv.Atoi(qk)
 		if err != nil || k < 1 {
@@ -1178,23 +1167,14 @@ func (s *Server) handleRestore(t *tenant, w http.ResponseWriter, r *http.Request
 		writeError(w, status, err, 0)
 		return
 	}
-	var st client.State
-	var terr error
-	if err := s.do(func() {
-		if t.dead {
-			terr = errUnknownQuery
-			return
-		}
-		st = s.tenantState(t)
-	}); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err, 0)
-		return
-	}
-	if terr != nil {
-		writeErrorCode(w, http.StatusNotFound, client.CodeUnknownQuery, 0, terr, 0)
-		return
-	}
-	writeJSON(w, st)
+	writeJSON(w, t.view.Load().state)
+}
+
+// tenantList copies the registry order for a reader off the loop.
+func (s *Server) tenantList() []*tenant {
+	s.tenMu.RLock()
+	defer s.tenMu.RUnlock()
+	return slices.Clone(s.order)
 }
 
 // subscriberCount sums open subscriptions across every query's hub.
@@ -1228,8 +1208,11 @@ func (s *Server) slotCount() int {
 	return len(seen)
 }
 
+// handleHealthz reports the default query's view, the first query whose
+// view carries an error, and whether the event loop runs an empty probe
+// within the health timeout — the one loop round trip of any read.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	dslot := s.defTenant.slot.Load()
+	dv := s.defTenant.view.Load().state
 	h := client.Health{
 		Algorithm:   s.cfg.Algorithm.String(),
 		Version:     buildVersion,
@@ -1238,11 +1221,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Subscribers: s.subscriberCount(),
 		Queries:     s.queryCount(),
 		EngineSlots: s.slotCount(),
-		// Mirror values stand in when the loop cannot answer; the loop
-		// overwrites them with the authoritative state below.
-		Shards: int(s.statShards.Load()),
-		Now:    math.Float64frombits(s.statNow.Load()),
-		Live:   int(dslot.statLive.Load()),
+		Shards:      dv.Shards,
+		Now:         dv.Now,
+		Live:        dv.Live,
 	}
 	if s.wal != nil {
 		h.Durable = true
@@ -1260,49 +1241,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if t := s.lastIngestNano.Load(); t != 0 {
 		h.LastIngestAgeSec = time.Since(time.Unix(0, t)).Seconds()
 	}
-	// The loop writes into a dedicated heap cell that the timeout path
-	// never reads, so a probe that gave up cannot race a late closure run.
-	loopH := new(client.Health)
-	err := s.doTimeout(func() {
-		d := s.defTenant.slot.Load()
-		loopH.Shards = d.det.Shards()
-		loopH.Now = d.det.Now()
-		loopH.Live = d.det.Live()
-		// A recorded pipeline error on any query means that query (or its
-		// maintained top-k chain) serves a stale answer it can no longer
-		// refresh: report unhealthy so orchestrators recycle the instance
-		// instead of trusting the frozen result. The other queries keep
-		// serving in the meantime.
-		var derr error
-		for _, t := range s.order {
-			sl := t.slot.Load()
-			if e := cmp.Or(sl.failed, sl.det.Err()); e != nil {
-				derr = fmt.Errorf("query %q: %w", t.id, e)
-				break
-			}
+	// A recorded pipeline error on any query means that query (or its
+	// maintained top-k chain) serves a stale answer it can no longer
+	// refresh: report unhealthy so orchestrators recycle the instance
+	// instead of trusting the frozen result. The other queries keep serving
+	// in the meantime.
+	for _, t := range s.tenantList() {
+		if e := t.view.Load().err; e != "" {
+			h.Err = fmt.Sprintf("query %q: %s", t.id, e)
+			break
 		}
-		if derr != nil {
-			loopH.Err = derr.Error()
-		} else {
-			loopH.OK = true
-		}
-	}, s.healthTimeout)
-	if err == nil {
-		h.OK = loopH.OK
-		h.Err = loopH.Err
-		h.Shards = loopH.Shards
-		h.Now = loopH.Now
-		h.Live = loopH.Live
-	} else {
+	}
+	if err := s.probeLoop(s.healthTimeout); err != nil {
 		h.Err = err.Error()
 	}
+	h.OK = h.Err == ""
 	if h.OK && s.degraded.Load() {
 		// Durability lost: ingest is shed, so the instance is not healthy —
 		// but the process keeps serving queries while the repair loop works.
 		h.OK = false
-		if h.Err == "" {
-			h.Err = "durability degraded: " + s.faultString()
-		}
+		h.Err = "durability degraded: " + s.faultString()
 	}
 	if !h.OK {
 		w.Header().Set("Content-Type", "application/json")
@@ -1314,7 +1272,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus scrape. It never round-trips the
-// event loop: every value comes from atomics, loop-state mirrors or
+// event loop: every value comes from atomics, the queries' views or
 // histogram snapshots, so the scrape stays up — and keeps reporting — when
 // the loop is wedged, which is exactly when the numbers matter most. The
 // unlabelled legacy gauges report the default query; per-query series carry
@@ -1322,14 +1280,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // no stale series behind.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	dt := s.defTenant
-	dslot := dt.slot.Load()
-	var dres client.Result
-	if rw := dt.lastWire.Load(); rw != nil {
-		dres = *rw
-	}
+	dv := s.defTenant.view.Load().state
 	found := 0.0
-	if dres.Found {
+	if dv.Result.Found {
 		found = 1
 	}
 	writeMetric(w, "surge_objects_ingested_total", "counter", "Objects applied to the detectors.", float64(s.objects.Load()))
@@ -1345,16 +1298,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetric(w, "surge_restores_total", "counter", "Checkpoints restored.", float64(s.restores.Load()))
 	writeMetric(w, "surge_subscribers", "gauge", "Open notification subscriptions (all queries).", float64(s.subscriberCount()))
 	writeMetric(w, "surge_queries", "gauge", "Registered queries in the registry.", float64(s.queryCount()))
-	writeMetric(w, "surge_shards", "gauge", "Engine shards processing the default query.", float64(s.statShards.Load()))
-	writeMetric(w, "surge_live_objects", "gauge", "Objects inside the default query's sliding windows.", float64(dslot.statLive.Load()))
-	writeMetric(w, "surge_stream_time", "gauge", "Current stream clock: the newest decided timestamp.", math.Float64frombits(s.statNow.Load()))
+	writeMetric(w, "surge_shards", "gauge", "Engine shards processing the default query.", float64(dv.Shards))
+	writeMetric(w, "surge_live_objects", "gauge", "Objects inside the default query's sliding windows.", float64(dv.Live))
+	writeMetric(w, "surge_stream_time", "gauge", "The default query's stream clock: its newest decided timestamp (0 before the first).", dv.Now)
 	writeMetric(w, "surge_best_found", "gauge", "Whether the default query currently has a bursty region.", found)
-	writeMetric(w, "surge_best_score", "gauge", "Burst score of the default query's current bursty region.", dres.Score)
-	writeMetric(w, "surge_engine_events_total", "counter", "Window events processed by the default query's engines (halo replicas counted per shard).", float64(dslot.engStats[0].Load()))
-	writeMetric(w, "surge_engine_searches_total", "counter", "Snapshot searches run by the default query's engines.", float64(dslot.engStats[1].Load()))
-	writeMetric(w, "surge_engine_search_events_total", "counter", "Events that triggered at least one search.", float64(dslot.engStats[2].Load()))
-	writeMetric(w, "surge_engine_sweep_entries_total", "counter", "Sweep entries processed by the default query's engines.", float64(dslot.engStats[3].Load()))
-	writeMetric(w, "surge_engine_cells_touched_total", "counter", "Grid cells touched by the default query's engines.", float64(dslot.engStats[4].Load()))
+	writeMetric(w, "surge_best_score", "gauge", "Burst score of the default query's current bursty region.", dv.Result.Score)
+	writeMetric(w, "surge_engine_events_total", "counter", "Window events processed by the default query's engines (halo replicas counted per shard).", float64(dv.Stats.Events))
+	writeMetric(w, "surge_engine_searches_total", "counter", "Snapshot searches run by the default query's engines.", float64(dv.Stats.Searches))
+	writeMetric(w, "surge_engine_search_events_total", "counter", "Events that triggered at least one search.", float64(dv.Stats.SearchEvents))
+	writeMetric(w, "surge_engine_sweep_entries_total", "counter", "Sweep entries processed by the default query's engines.", float64(dv.Stats.SweepEntries))
+	writeMetric(w, "surge_engine_cells_touched_total", "counter", "Grid cells touched by the default query's engines.", float64(dv.Stats.CellsTouched))
 	writeMetric(w, "surge_ingest_throttled_total", "counter", "Ingest chunks shed with 429 by admission control.", float64(s.throttled.Load()))
 	writeMetric(w, "surge_ingest_pending_chunks", "gauge", "Ingest chunks submitted and not yet applied.", float64(s.pendingChunks.Load()))
 	s.writeQueryMetrics(w)
@@ -1380,7 +1333,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetric(w, "surge_last_ingest_age_seconds", "gauge", "Seconds since the last applied batch (-1 before the first).", s.lastIngestAge())
 	writeMetric(w, "surge_loop_tick_age_seconds", "gauge", "Seconds since the event loop last answered a lag probe (-1 before the first).", ageSec(s.lastTickNano.Load()))
 	fmt.Fprintf(w, "# HELP surge_build_info Build metadata; the value is always 1.\n# TYPE surge_build_info gauge\nsurge_build_info{version=%q,go_version=%q,algorithm=%q,shards=%q} 1\n",
-		buildVersion, runtime.Version(), s.cfg.Algorithm.String(), strconv.FormatInt(s.statShards.Load(), 10))
+		buildVersion, runtime.Version(), s.cfg.Algorithm.String(), strconv.Itoa(dv.Shards))
 	obs.Default.WritePrometheus(w)
 	obs.ReadRuntime().WritePrometheus(w)
 }
@@ -1391,40 +1344,36 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeQueryMetrics(w http.ResponseWriter) {
 	type family struct {
 		name, kind, help string
-		val              func(t *tenant, sl *engineSlot) float64
+		val              func(t *tenant, v *view) float64
 	}
 	families := []family{
 		{"surge_query_notifications_total", "counter", "Bursty-region change notifications published per query.",
-			func(t *tenant, _ *engineSlot) float64 { return float64(t.notifs.Load()) }},
+			func(t *tenant, _ *view) float64 { return float64(t.notifs.Load()) }},
 		{"surge_query_notifications_dropped_total", "counter", "Notifications lost to this query's slow subscribers.",
-			func(t *tenant, _ *engineSlot) float64 { return float64(t.dropped.Load()) }},
+			func(t *tenant, _ *view) float64 { return float64(t.dropped.Load()) }},
 		{"surge_query_topk_notifications_total", "counter", "Top-k change notifications published per query.",
-			func(t *tenant, _ *engineSlot) float64 { return float64(t.topkNotifs.Load()) }},
+			func(t *tenant, _ *view) float64 { return float64(t.topkNotifs.Load()) }},
 		{"surge_query_subscribers", "gauge", "Open notification subscriptions per query.",
-			func(t *tenant, _ *engineSlot) float64 { return float64(t.hub.count()) }},
+			func(t *tenant, _ *view) float64 { return float64(t.hub.count()) }},
 		{"surge_query_live_objects", "gauge", "Objects inside this query's sliding windows.",
-			func(_ *tenant, sl *engineSlot) float64 { return float64(sl.statLive.Load()) }},
-		{"surge_query_stream_time", "gauge", "This query's stream clock.",
-			func(_ *tenant, sl *engineSlot) float64 { return math.Float64frombits(sl.statNow.Load()) }},
+			func(_ *tenant, v *view) float64 { return float64(v.state.Live) }},
+		{"surge_query_stream_time", "gauge", "This query's stream clock (0 before the first object).",
+			func(_ *tenant, v *view) float64 { return v.state.Now }},
 		{"surge_query_best_score", "gauge", "Burst score of this query's current bursty region (0 when none).",
-			func(t *tenant, _ *engineSlot) float64 {
-				if rw := t.lastWire.Load(); rw != nil {
-					return rw.Score
-				}
-				return 0
-			}},
+			func(_ *tenant, v *view) float64 { return v.state.Result.Score }},
 	}
-	s.tenMu.RLock()
-	tenants := make([]*tenant, len(s.order))
-	copy(tenants, s.order)
-	s.tenMu.RUnlock()
+	tenants := s.tenantList()
+	views := make([]*view, len(tenants))
+	for i, t := range tenants {
+		views[i] = t.view.Load()
+	}
 	rows := make([]obs.LabeledValue, 0, len(tenants))
 	for _, fam := range families {
 		rows = rows[:0]
-		for _, t := range tenants {
+		for i, t := range tenants {
 			rows = append(rows, obs.LabeledValue{
 				Labels: []string{"query", t.id},
-				Value:  fam.val(t, t.slot.Load()),
+				Value:  fam.val(t, views[i]),
 			})
 		}
 		obs.WriteLabeled(w, fam.name, fam.kind, fam.help, rows)

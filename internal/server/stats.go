@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"net/http"
 	"time"
 
@@ -10,18 +9,19 @@ import (
 )
 
 // handleStats serves the typed telemetry snapshot. Like /metrics it never
-// round-trips the event loop: counters, loop-state mirrors and histogram
+// round-trips the event loop: counters, the queries' views and histogram
 // snapshots are all read lock-free, so the endpoint answers even when the
-// loop is wedged — the mirror values are then the last state the loop
-// published, which is exactly what an operator debugging the wedge needs.
+// loop is wedged — the views are then the last state the loop published,
+// which is exactly what an operator debugging the wedge needs.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	dv := s.defTenant.view.Load().state
 	st := client.StatsSnapshot{
 		UptimeSec:        time.Since(s.start).Seconds(),
 		LastIngestAgeSec: s.lastIngestAge(),
 		LoopTickAgeSec:   ageSec(s.lastTickNano.Load()),
-		Now:              math.Float64frombits(s.statNow.Load()),
-		Live:             int(s.defTenant.slot.Load().statLive.Load()),
-		Shards:           int(s.statShards.Load()),
+		Now:              dv.Now,
+		Live:             dv.Live,
+		Shards:           dv.Shards,
 
 		Objects:       s.objects.Load(),
 		Clamped:       s.clamped.Load(),
@@ -50,10 +50,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 		Throttled: s.throttled.Load(),
 	}
-	s.tenMu.RLock()
-	tenants := make([]*tenant, len(s.order))
-	copy(tenants, s.order)
-	s.tenMu.RUnlock()
+	tenants := s.tenantList()
 	st.Queries = make([]client.QueryStats, 0, len(tenants))
 	for _, t := range tenants {
 		st.Queries = append(st.Queries, s.tenantStats(t))
@@ -99,17 +96,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // tenantStats assembles one query's telemetry block lock-free, from the
-// tenant's counters and its slot's atomic mirrors.
+// tenant's counters and its view.
 func (s *Server) tenantStats(t *tenant) client.QueryStats {
-	sl := t.slot.Load()
-	qs := client.QueryStats{
+	v := t.view.Load()
+	return client.QueryStats{
 		ID:         t.id,
 		Algorithm:  t.cfg.Algorithm.String(),
 		TopK:       t.cfg.TopK,
 		Continuous: true,
-		Shards:     sl.statShards,
-		Now:        math.Float64frombits(sl.statNow.Load()),
-		Live:       int(sl.statLive.Load()),
+		Shards:     v.state.Shards,
+		Now:        v.state.Now,
+		Live:       v.state.Live,
+		Result:     v.state.Result,
 
 		Notifications:     t.notifs.Load(),
 		TopKNotifications: t.topkNotifs.Load(),
@@ -118,14 +116,8 @@ func (s *Server) tenantStats(t *tenant) client.QueryStats {
 		TopKFast:          t.topkFast.Load(),
 		Snapshots:         t.snapshots.Load(),
 		Restores:          t.restores.Load(),
+		Err:               v.err,
 	}
-	if rw := t.lastWire.Load(); rw != nil {
-		qs.Result = *rw
-	}
-	if ep := sl.errMsg.Load(); ep != nil {
-		qs.Err = *ep
-	}
-	return qs
 }
 
 // handleQueryStats serves one query's telemetry block.

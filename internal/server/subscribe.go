@@ -220,9 +220,9 @@ func (sub *subscriber) trySend(f frame) bool {
 // "hello" event carrying the current State, then one "burst" event
 // (Notification) per bursty-region change and — when the server maintains
 // continuous top-k — one "topk" event (TopKNotification) per top-k change.
-// The hello is sent only after the subscriber is registered, so a client
-// that has read it observes every subsequent change (modulo the accounted
-// slow-consumer drops).
+// The hello is the query's view, loaded after the subscriber is registered:
+// a hello with Events = E reflects every event up to E, and the stream
+// continues at exactly E+1 (modulo the accounted slow-consumer drops).
 //
 // A reconnecting subscriber that sends a Last-Event-ID header resumes the
 // stream instead: the events it missed are replayed from a bounded ring
@@ -266,24 +266,13 @@ func (s *Server) handleSubscribe(t *tenant, w http.ResponseWriter, r *http.Reque
 	}
 	defer t.hub.remove(sub)
 
+	// The hello is the view loaded after joining the hub. publish stores a
+	// view before broadcasting its frames, so every frame above the hello's
+	// Events reaches sub.ch; the ones at or below it that did too are
+	// skipped below, and the live stream starts at exactly Events+1.
 	var st client.State
 	if !resume {
-		dead := false
-		if err := s.do(func() {
-			if t.dead {
-				dead = true
-				return
-			}
-			st = s.tenantState(t)
-		}); err != nil {
-			writeError(w, http.StatusServiceUnavailable, err, 0)
-			return
-		}
-		if dead {
-			writeErrorCode(w, http.StatusNotFound, client.CodeUnknownQuery, 0,
-				fmt.Errorf("%w: %q", errUnknownQuery, t.id), 0)
-			return
-		}
+		st = t.view.Load().state
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -305,6 +294,9 @@ func (s *Server) handleSubscribe(t *tenant, w http.ResponseWriter, r *http.Reque
 	for {
 		select {
 		case f := <-sub.ch:
+			if f.eid <= st.Events {
+				continue // the hello covers it
+			}
 			if err := f.write(w, s.epoch); err != nil {
 				return
 			}

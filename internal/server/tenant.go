@@ -2,9 +2,7 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
-	"time"
 
 	"surge"
 	"surge/client"
@@ -91,21 +89,13 @@ type engineSlot struct {
 
 	lastTopK []surge.Result
 	tkSnap   *client.TopK // wire snapshot of lastTopK; rebuilt only on change
-
-	// Lock-free mirrors for scrapes and per-query stats.
-	statShards    int
-	statNow       atomic.Uint64
-	statLive      atomic.Uint64
-	engStats      [5]atomic.Uint64 // events, searches, searchEvents, sweepEntries, cellsTouched
-	errMsg        atomic.Pointer[string]
-	lastStatsNano int64
 }
 
 // apply runs on the slot's pool worker (or inline on the loop when the
-// registry holds a single slot): push the batch, refresh the top-k snapshot
-// and the stat mirrors. The batch is already decided against the stream
-// clock (Server.decide), so it is in time order for every slot. A quiet
-// apply — boot replay of an unsequenced WAL record — goes through
+// registry holds a single slot): push the batch and refresh the top-k
+// snapshot. The batch is already decided against the stream clock
+// (Server.decide), so it is in time order for every slot. A quiet apply —
+// boot replay of an unsequenced WAL record — goes through
 // TopKDetector.Replay instead and reads nothing: the chain catches up at the
 // slot's next read. A panic — an engine bug tripped by this batch — is
 // recovered into pendErr/pendPanicked so one broken tenant engine never
@@ -120,8 +110,6 @@ func (sl *engineSlot) apply(objs []surge.Object, quiet bool) {
 			sl.pendErr = fmt.Errorf("%w: batch apply panicked: %v", errPipeline, r)
 			sl.pendPanicked = true
 			sl.failed = sl.pendErr
-			msg := sl.pendErr.Error()
-			sl.errMsg.Store(&msg)
 		}
 	}()
 	var res []surge.Result
@@ -139,26 +127,11 @@ func (sl *engineSlot) apply(objs []surge.Object, quiet bool) {
 			err = fmt.Errorf("%w: %w", errPipeline, err)
 		}
 		sl.pendErr = err
-		msg := err.Error()
-		sl.errMsg.Store(&msg)
-	} else {
-		if !quiet {
-			sl.pendRes = res[0]
-		}
-		// errMsg mirrors the newest apply's outcome: a per-batch error
-		// (invisible in the shared ingest ack when another slot succeeded)
-		// surfaces in this query's stats until a batch applies cleanly
-		// again; sticky pipeline errors re-store every batch.
-		sl.errMsg.Store(nil)
+	} else if !quiet {
+		sl.pendRes = res[0]
 	}
-	if quiet {
-		return
-	}
-	sl.refreshTopKLocal()
-	sl.statNow.Store(math.Float64bits(sl.det.Now()))
-	sl.statLive.Store(uint64(sl.det.Live()))
-	if now := time.Now(); now.UnixNano()-sl.lastStatsNano >= int64(engineStatsInterval) {
-		sl.refreshEngineStats(now)
+	if !quiet {
+		sl.refreshTopKLocal()
 	}
 }
 
@@ -183,18 +156,6 @@ func (sl *engineSlot) refreshTopKLocal() {
 	sl.tkSnap = snap
 }
 
-// refreshEngineStats mirrors det.Stats() into atomics. On a sharded
-// detector Stats is a pipeline barrier, so apply throttles the calls.
-func (sl *engineSlot) refreshEngineStats(now time.Time) {
-	sl.lastStatsNano = now.UnixNano()
-	st := sl.det.Stats()
-	sl.engStats[0].Store(st.Events)
-	sl.engStats[1].Store(st.Searches)
-	sl.engStats[2].Store(st.SearchEvents)
-	sl.engStats[3].Store(st.SweepEntries)
-	sl.engStats[4].Store(st.CellsTouched)
-}
-
 // close releases the slot's chain. Only called once the loop no longer
 // references the slot (it left s.slots), so nothing races the teardown.
 func (sl *engineSlot) close() error {
@@ -210,9 +171,13 @@ type tenant struct {
 	cfg       tenantConfig
 	isDefault bool
 
-	// slot is the engine binding; the loop swaps it on restore, handlers
-	// load it to read the slot's stat mirrors.
+	// slot is the engine binding; the loop swaps it on restore. Handlers
+	// load it only for the chain's immutable options.
 	slot atomic.Pointer[engineSlot]
+
+	// view is what every read of this query serves: one load, never the
+	// loop (see view).
+	view atomic.Pointer[view]
 
 	// Loop-owned notification state.
 	last  surge.Result // last published answer
@@ -226,11 +191,6 @@ type tenant struct {
 
 	hub hub
 
-	// topkSnap serves this query's /topk fast path with one atomic load.
-	topkSnap atomic.Pointer[client.TopK]
-	// lastWire mirrors the last published answer for lock-free stats.
-	lastWire atomic.Pointer[client.Result]
-
 	// Per-query counters (atomics so stats and metrics read them lock-free).
 	notifs     atomic.Uint64
 	dropped    atomic.Uint64
@@ -238,6 +198,22 @@ type tenant struct {
 	topkFast   atomic.Uint64
 	snapshots  atomic.Uint64
 	restores   atomic.Uint64
+}
+
+// view is one query's published read state: its client.State, its top-k
+// snapshot and its slot's error. The event loop builds a fresh one after
+// every batch, before the ingest ack (so a read that follows an ack sees
+// that batch), and on create, restore and at the end of boot replay. It is
+// immutable once stored, and every read of the query — /v1/best, /v1/topk,
+// the SSE hello, the restore reply, the stats, info and metrics rows and
+// /healthz — is one atomic load of it, so no read waits on ingest.
+type view struct {
+	state client.State
+	topk  *client.TopK
+	// err is the newest apply's error, so a batch error that a shared ack
+	// hides (another slot applied it) shows in this query's stats until a
+	// batch applies cleanly; a failed chain's view keeps its failure.
+	err string
 }
 
 // tenantSeed is one query to register at boot: its resolved configuration
@@ -271,19 +247,16 @@ func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, statShards: det.Shards()}
+	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det}
 	sl.read() // BestK has k >= 1 slots, so the first call always builds tkSnap
 	return sl, nil
 }
 
-// read refreshes the slot's answer, top-k snapshot and stat mirrors from its
-// chain: when the slot is built, and once at the end of boot replay.
+// read refreshes the slot's answer and top-k snapshot from its chain: when
+// the slot is built, and once at the end of boot replay.
 func (sl *engineSlot) read() {
 	sl.refreshTopKLocal()
 	sl.pendRes = sl.lastTopK[0]
-	sl.statNow.Store(math.Float64bits(sl.det.Now()))
-	sl.statLive.Store(uint64(sl.det.Live()))
-	sl.refreshEngineStats(time.Now())
 }
 
 // newTenant binds a tenant to a slot. Runs at boot or on the event loop.
@@ -292,9 +265,7 @@ func (s *Server) newTenant(id string, cfg tenantConfig, sl *engineSlot) *tenant 
 	t.slot.Store(sl)
 	sl.refs.Add(1)
 	t.last = sl.pendRes
-	lw := client.FromResult(sl.pendRes)
-	t.lastWire.Store(&lw)
-	t.topkSnap.Store(sl.tkSnap)
+	t.view.Store(s.viewOf(t, sl, client.FromResult(t.last)))
 	t.hub.subs = make(map[*subscriber]struct{})
 	t.hub.ringCap = s.ringCap
 	t.hub.occ = s.hubOcc
