@@ -87,6 +87,75 @@ func TestTopKPushZeroAllocKCCS(t *testing.T) {
 	}
 }
 
+// TestTopKPushBatchZeroAlloc guards the feed-then-consume path of PushBatch
+// — the windows fill a reused event buffer that the chain then consumes —
+// for kCCS, kGAPS and kMGAPS, standalone and as three chains on shared
+// windows fed with Feed and Consume, as the server feeds a window group.
+func TestTopKPushBatchZeroAlloc(t *testing.T) {
+	opt := surge.Options{Width: 1, Height: 1, Window: 16, Alpha: 0.5}
+	algs := []surge.Algorithm{surge.CellCSPOT, surge.GridApprox, surge.MultiGrid}
+	locs := [5][2]float64{{0.5, 0.5}, {3.2, 1.7}, {-2.4, 0.9}, {7.9, -3.3}, {0.6, 0.4}}
+	i := 0
+	tm := 0.0
+	batch := make([]surge.Object, 4)
+	next := func() []surge.Object {
+		for j := range batch {
+			l := locs[i%len(locs)]
+			i++
+			tm += 0.125
+			batch[j] = surge.Object{X: l[0], Y: l[1], Weight: 1, Time: tm}
+		}
+		return batch
+	}
+	steady := func(name string, push func()) {
+		t.Helper()
+		for n := 0; n < 1024; n++ { // 16 window generations
+			push()
+		}
+		if a := testing.AllocsPerRun(512, push); a != 0 {
+			t.Fatalf("%s allocates %v allocs/op in steady state, want 0", name, a)
+		}
+	}
+	for _, alg := range algs {
+		det, err := surge.NewTopK(alg, opt, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer det.Close()
+		steady(alg.String()+" PushBatch", func() {
+			if _, err := det.PushBatch(next()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	chains := make([]*surge.TopKDetector, len(algs))
+	for j, alg := range algs {
+		var err error
+		if j == 0 {
+			chains[j], err = surge.NewTopK(alg, opt, 3)
+		} else {
+			o := opt
+			o.Width = float64(j + 1)
+			chains[j], err = surge.NewTopKOn(chains[0], alg, o, 3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer chains[j].Close()
+	}
+	steady("Feed and Consume on shared windows", func() {
+		evs, err := chains[0].Feed(next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range chains {
+			if _, err := c.Consume(evs, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestTopKRestorePushZeroAllocKCCS is TestTopKPushZeroAllocKCCS for a chain
 // built by RestoreTopK (in one pass, topk.KCCS.Load) and then fed one span
 // of both windows: the restored engine must reach the same allocation-free

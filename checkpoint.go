@@ -151,9 +151,9 @@ func (d *TopKDetector) Checkpoint() ([]byte, error) { return d.AppendCheckpoint(
 // AppendCheckpoint appends the checkpoint to dst; see
 // Detector.AppendCheckpoint.
 func (d *TopKDetector) AppendCheckpoint(dst []byte) ([]byte, error) {
-	d.ckptObjs = buildCheckpointObjects(d.ckptObjs, d.win)
+	d.ckptObjs = buildCheckpointObjects(d.ckptObjs, d.st.win)
 	// Top-k detection has no aG2 variant, so AG2Gamma stays zero.
-	return appendEnvelope(dst, d.alg, d.win.Now(), d.cfg, d.counted, checkpointOptions{
+	return appendEnvelope(dst, d.alg, d.st.win.Now(), d.cfg, d.counted, checkpointOptions{
 		Shards:         d.shards,
 		ShardBlockCols: d.blkCols,
 	}, d.ckptObjs)
@@ -259,15 +259,22 @@ func RestoreTopKSharded(alg Algorithm, data []byte, k, shards, blockCols int) (*
 
 // restore is Replay of the checkpoint, clock included so the past flags are
 // final, and one read: the chain is built from the live set in one catch-up.
+// The fresh chain holds back every object, from the first (ID 1), so the
+// windows' events need no consumer.
 func (d *TopKDetector) restore(env checkpointEnvelope) error {
-	d.win.Reserve(len(env.Objects))
+	win := d.st.win
+	win.Reserve(len(env.Objects))
+	drop := func(core.Event) {}
 	for _, o := range env.Objects {
-		if _, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, d.holdFn); err != nil {
+		if _, err := win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, drop); err != nil {
 			return fmt.Errorf("surge: replaying checkpoint: %w", err)
 		}
 	}
-	if err := d.win.Advance(env.Clock, d.holdFn); err != nil {
+	if err := win.Advance(env.Clock, drop); err != nil {
 		return fmt.Errorf("surge: advancing restored clock: %w", err)
+	}
+	if len(env.Objects) > 0 {
+		d.lag = 1
 	}
 	d.catchUp()
 	_, err := d.refresh()

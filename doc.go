@@ -236,7 +236,10 @@
 //
 // Consistency guarantees: the detector is owned by a single-writer event
 // loop — handlers parse request bodies concurrently and the loop applies
-// them as PushBatch batches — so concurrent ingesters serialise into one
+// them in batches, each PushBatch's two halves: one Feed of the window,
+// then every chain's Consume (queries registered at boot with equal
+// windows share one window; a created or restored query has its own, see
+// Multi-tenancy) — so concurrent ingesters serialise into one
 // global stream order and the SSE notification stream equals the answer
 // changes of a single-process run of that order, bit for bit in the
 // scores. The server keeps one stream clock for all of its queries and
@@ -286,10 +289,14 @@
 // stream: ingest parsing, admission control, ordering and the WAL append
 // happen once per chunk, and the event loop fans the decoded batch out to
 // every query's engine. The per-object ingest cost is therefore paid per
-// stream, not per query — the shared plane hands each engine the same
-// read-only object slice (copied only if that engine's time policy has to
-// lift a timestamp); the multiquery-read workload of `go run ./benchmark`
-// measures the fan-out with eight queries of different sizes.
+// stream, not per query. Queries registered at boot whose windows are
+// equal (Window, PastWindow, CountWindows) share one sliding window: the
+// loop pushes each batch into it once and every query's chain consumes the
+// same read-only window events (surge.NewTopKOn, TopKDetector.Feed and
+// Consume), so they keep one live set between them instead of one each. A
+// query created at runtime or restored from a checkpoint has a window of
+// its own. The multiquery-read workload of `go run ./benchmark` measures
+// the fan-out with eight queries of different sizes on one window.
 //
 // Lifecycle: queries exist from boot (server.Config.Queries, surged serve
 // -queries file.json) or are created and deleted at runtime through the
@@ -308,10 +315,12 @@
 // Engine sharing: boot-registry queries whose resolved configurations are
 // identical are backed by ONE engine slot (QueryInfo.Shared), so thousands
 // of dashboards watching the same query cost one detector. Sharing is an
-// internal deduplication, not a visible state: every shared query answers
-// exactly as if it ran its own engine, and a restore into one of them
-// first splits it onto a private slot. Runtime-created queries always get
-// a private engine — they join at the current stream position with empty
+// internal deduplication, not a visible state: every shared query — of a
+// slot or of a window — answers, and checkpoints, exactly as if it ran its
+// own engine on its own window, and a restore into one of them first splits
+// it onto a private slot with a private window. Deleting a query leaves the
+// others on its window fed. Runtime-created queries always get a private
+// engine and window — they join at the current stream position with empty
 // windows, which can never equal an engine that has already seen data.
 // Engines ride the existing shard workers (each slot is pinned to a
 // worker), so tenancy scales with cores rather than goroutines-per-query.

@@ -2,6 +2,7 @@ package gapsurge_test
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"surge/internal/core"
@@ -13,7 +14,9 @@ import (
 // of a full pair of windows (one New, one Grown and one Expired per object;
 // about benchLive live objects, a fifth of them in a hotspot so some cells
 // hold long object lists and most hold a few). The window engine that
-// produces the events runs with the timer stopped.
+// produces the events runs with the timer stopped. B/live-obj is the heap
+// the engine retains per live object when the run ends: the live heap after
+// a GC, less the live heap after another GC once the engine is dropped.
 func BenchmarkProcess(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -71,6 +74,19 @@ func BenchmarkProcess(b *testing.B) {
 				}
 				done += len(evs)
 			}
+			b.StopTimer()
+			held := liveHeap()
+			runtime.KeepAlive(eng)
+			eng = nil
+			b.ReportMetric(float64(held-liveHeap())/float64(win.Live()), "B/live-obj")
 		})
 	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -14,6 +14,17 @@
 //   - Their top-k extensions (Algorithms 6 and 7): top-k cells of the single
 //     grid, or the top-k non-overlapping cells among the top-4k cells of each
 //     of the four grids.
+//
+// # Event order
+//
+// A cell keeps its live objects' weights in arrival order and relies on the
+// order of the events instead of looking objects up by ID: every object's
+// events arrive New, then Grown, then Expired, and within a cell each kind
+// arrives in ID order. Both window.Source implementations emit that way
+// (their queues are FIFOs), and so do a top-k detector catching its chain
+// up (held-back objects get New, then Grown if past, in ID order) and the
+// shard router (it forwards each event, in stream order, to the shards its
+// object reaches). Events out of that order corrupt the cells.
 package gapsurge
 
 import (
@@ -25,78 +36,34 @@ import (
 	"surge/internal/grid"
 )
 
-// gobj is one live object of a cell, stored in arrival order (IDs are
-// assigned by the window engine in stream order); expired entries are
-// tombstoned and compaction preserves the order. The ordered list exists so
-// reported scores can be computed as canonical arrival-order folds — a pure
-// function of the cell's content — while the O(1) incremental accumulators
-// keep ordering the heap.
-type gobj struct {
-	id   uint64
-	wt   float64
-	past bool
-	dead bool
-}
-
+// gcell is one grid cell: its live objects' weights in arrival order, with
+// objs[head:grown] the past ones (in Wp) and objs[grown:] the current ones
+// (in Wc). The window engine emits each event kind in arrival (ID) order,
+// and every object of a cell gets its events in the order New, Grown,
+// Expired (see the package FIFO contract), so New appends, Grown advances
+// grown and Expired advances head — no ID is kept or checked. The ordered
+// weights exist so reported scores can be computed as canonical
+// arrival-order folds — a pure function of the cell's content — while the
+// O(1) incremental accumulators keep ordering the heap.
 type gcell struct {
 	key    grid.Cell
 	pos    int     // position in the layer heap; -1 when absent
 	fc, fp float64 // incremental accumulators: heap keys, not reported values
-	nc, np int
-	objs   []gobj // arrival-ordered; expired entries are tombstoned
-	dead   int    // tombstones in objs
+	objs   []float64
+	head   int // objs[:head] have expired
+	grown  int // objs[head:grown] are past
 }
 
 // HeapPos implements cellheap.Positioned.
 func (c *gcell) HeapPos() *int { return &c.pos }
 
-// lookup returns the position of the live object with the given ID (objs is
-// sorted by ID; see gobj).
-func (c *gcell) lookup(id uint64) (int, bool) {
-	lo, hi := 0, len(c.objs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.objs[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(c.objs) && c.objs[lo].id == id && !c.objs[lo].dead {
-		return lo, true
-	}
-	return 0, false
-}
-
-// remove tombstones the object at position i and compacts the backing array
-// once half of it is dead, preserving arrival order.
-func (c *gcell) remove(i int) {
-	c.objs[i].dead = true
-	c.dead++
-	if c.dead > 16 && c.dead*2 >= len(c.objs) {
-		kept := c.objs[:0]
-		for _, g := range c.objs {
-			if !g.dead {
-				kept = append(kept, g)
-			}
-		}
-		c.objs = kept
-		c.dead = 0
-	}
-}
-
 // fold returns the canonical arrival-order window scores of the cell.
 func (c *gcell) fold(cfg core.Config) (fc, fp float64) {
-	for i := range c.objs {
-		g := &c.objs[i]
-		if g.dead {
-			continue
-		}
-		if g.past {
-			fp += g.wt / cfg.WP
-		} else {
-			fc += g.wt / cfg.WC
-		}
+	for _, w := range c.objs[c.head:c.grown] {
+		fp += w / cfg.WP
+	}
+	for _, w := range c.objs[c.grown:] {
+		fc += w / cfg.WC
 	}
 	return fc, fp
 }
@@ -212,46 +179,35 @@ func (e *Engine) Process(ev core.Event) {
 		e.stats.CellsTouched++
 		switch ev.Kind {
 		case core.New:
-			c.objs = append(c.objs, gobj{id: o.ID, wt: o.Weight})
+			c.objs = append(c.objs, o.Weight)
 			c.fc += dc
-			c.nc++
 		case core.Grown:
-			i, ok := c.lookup(o.ID)
-			if !ok || c.objs[i].past {
-				break
-			}
-			c.objs[i].past = true
+			c.grown++
 			c.fc -= dc
-			c.nc--
 			c.fp += dp
-			c.np++
 		case core.Expired:
-			i, ok := c.lookup(o.ID)
-			if !ok {
-				break
+			c.head++
+			c.fp -= dp
+			if c.head > 16 && c.head*2 >= len(c.objs) {
+				n := copy(c.objs, c.objs[c.head:])
+				c.objs = c.objs[:n]
+				c.grown -= c.head
+				c.head = 0
 			}
-			if c.objs[i].past {
-				c.fp -= dp
-				c.np--
-			} else { // expired without a Grown event (defensive)
-				c.fc -= dc
-				c.nc--
-			}
-			c.remove(i)
 		}
 		// Reset empty accumulators so float drift cannot build up over the
 		// lifetime of a long stream.
-		if c.nc == 0 {
+		if c.grown == len(c.objs) {
 			c.fc = 0
 		}
-		if c.np == 0 {
+		if c.head == c.grown {
 			c.fp = 0
 		}
-		if c.nc == 0 && c.np == 0 {
+		if c.head == len(c.objs) {
 			delete(l.cells, pk)
 			l.heap.Remove(c)
 			c.objs = c.objs[:0] // keep the backing array for reuse
-			c.dead = 0
+			c.head, c.grown = 0, 0
 			c.fc, c.fp = 0, 0
 			e.free = append(e.free, c)
 			continue

@@ -20,13 +20,16 @@ func checkCells(t *testing.T, e *Engine, when string) {
 			t.Fatalf("%s: layer %d heap holds %d cells, map %d", when, li, l.heap.Len(), len(l.cells))
 		}
 		for pk, c := range l.cells {
-			if c.pos < 0 || c.pos >= l.heap.Len() || c.key.Pack() != pk || c.nc+c.np == 0 {
-				t.Fatalf("%s: layer %d cell %+v under key %#x: pos %d, %d+%d objects", when, li, c.key, pk, c.pos, c.nc, c.np)
+			if c.pos < 0 || c.pos >= l.heap.Len() || c.key.Pack() != pk || c.head == len(c.objs) {
+				t.Fatalf("%s: layer %d cell %+v under key %#x: pos %d, %d live objects", when, li, c.key, pk, c.pos, len(c.objs)-c.head)
+			}
+			if c.head < 0 || c.head > c.grown || c.grown > len(c.objs) {
+				t.Fatalf("%s: layer %d cell %+v: cursors head %d grown %d len %d", when, li, c.key, c.head, c.grown, len(c.objs))
 			}
 		}
 	}
 	for _, c := range e.free {
-		if c.pos != -1 || c.nc != 0 || c.np != 0 || c.fc != 0 || c.fp != 0 || len(c.objs) != 0 || c.dead != 0 {
+		if c.pos != -1 || c.head != 0 || c.grown != 0 || c.fc != 0 || c.fp != 0 || len(c.objs) != 0 {
 			t.Fatalf("%s: recycled cell not reset: %+v", when, *c)
 		}
 	}

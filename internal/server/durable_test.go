@@ -518,26 +518,38 @@ func recoveryShapes() []recoveryShape {
 			Queries: []client.QueryConfig{{ID: "wide", Width: 2, Window: 45}, {ID: "gaps", Algorithm: "GAPS"}}},
 			feed: feedPlain(late, 50)},
 		{name: "count-windows", cfg: Config{Options: countOpts, BatchSize: 64}, feed: feedPlain(objs, 50)},
-		{name: "mixed-seq", cfg: Config{Options: testOptions(2), BatchSize: 32, TimePolicy: Clamp},
-			feed: func(t *testing.T, c *client.Client) *seqRequest {
-				var last *seqRequest
-				for i, r := 0, 0; i < len(late); i, r = i+50, r+1 {
-					chunk := late[i:min(i+50, len(late))]
-					if r%3 == 0 { // one request in three is unsequenced
-						streamBatches(t, c, chunk, 50)
-						continue
-					}
-					ack, err := c.IngestSeq(context.Background(), "feeder", uint64(r), chunk)
-					if err != nil {
-						t.Fatal(err)
-					}
-					last = &seqRequest{seq: uint64(r), objs: chunk, ack: ack}
-				}
-				if last == nil {
-					t.Fatal("mixed feed sent no Ingest-Seq request")
-				}
-				return last
-			}},
+		{name: "mixed-seq", cfg: Config{Options: testOptions(2), BatchSize: 32, TimePolicy: Clamp}, feed: feedMixedSeq(late)},
+		// Four fresh queries on one 30 s window, fed once per batch; the
+		// Ingest-Seq records make every chain consume a live batch while it
+		// holds the unsequenced records' objects back.
+		{name: "shared-window", cfg: Config{Options: testOptions(1), BatchSize: 32, TimePolicy: Clamp,
+			Queries: []client.QueryConfig{{ID: "gaps", Algorithm: "GAPS"}, {ID: "mgaps", Algorithm: "MGAPS", Width: 1.5},
+				{ID: "wide", Width: 2, Shards: 2}}},
+			feed: feedMixedSeq(late)},
+	}
+}
+
+// feedMixedSeq sends objs in requests of 50, one in three unsequenced and
+// the others as Ingest-Seq requests, and returns the last sequenced one.
+func feedMixedSeq(objs []surge.Object) func(*testing.T, *client.Client) *seqRequest {
+	return func(t *testing.T, c *client.Client) *seqRequest {
+		var last *seqRequest
+		for i, r := 0, 0; i < len(objs); i, r = i+50, r+1 {
+			chunk := objs[i:min(i+50, len(objs))]
+			if r%3 == 0 { // one request in three is unsequenced
+				streamBatches(t, c, chunk, 50)
+				continue
+			}
+			ack, err := c.IngestSeq(context.Background(), "feeder", uint64(r), chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = &seqRequest{seq: uint64(r), objs: chunk, ack: ack}
+		}
+		if last == nil {
+			t.Fatal("mixed feed sent no Ingest-Seq request")
+		}
+		return last
 	}
 }
 

@@ -239,12 +239,23 @@ func TestHealthLastIngestAgeBeforeTraffic(t *testing.T) {
 // with the instrumentation ON: the steady-state HTTP ingest path must stay
 // well under one heap allocation per object (per-request and per-chunk
 // overheads amortize across the body; the recording sites themselves must
-// contribute zero).
+// contribute zero). It runs a sharded single-query server and a registry of
+// four queries on one shared window, fanned out over the tenant pool.
 func TestIngestSteadyStateAllocs(t *testing.T) {
-	s, err := New(Config{
-		Algorithm: surge.CellCSPOT, Options: testOptions(2),
-		TimePolicy: Clamp, BatchSize: 512,
-	})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sharded", Config{Algorithm: surge.CellCSPOT, Options: testOptions(2), TimePolicy: Clamp, BatchSize: 512}},
+		{"registry", Config{Algorithm: surge.GridApprox, Options: testOptions(1), TimePolicy: Clamp, BatchSize: 512,
+			Queries: []client.QueryConfig{{ID: "wide", Width: 3}, {ID: "mgaps", Algorithm: "MGAPS"}, {ID: "ccs", Algorithm: "CCS"}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testIngestSteadyStateAllocs(t, tc.cfg) })
+	}
+}
+
+func testIngestSteadyStateAllocs(t *testing.T, cfg Config) {
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (s *Server) CreateQuery(qc client.QueryConfig) (*client.QueryInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	sl, err := s.buildSlot(tc, nil)
+	sl, err := s.buildSlot(tc, nil, nil)
 	if err != nil {
 		return nil, err
 	}

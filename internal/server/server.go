@@ -11,7 +11,9 @@
 // Queries are created and deleted at runtime (/v1/queries); the bare
 // single-query paths (/v1/best, ...) address the registry's "default" query.
 // Queries whose configurations agree share engine state (boot-time dedup),
-// so a thousand identical dashboards cost one engine.
+// so a thousand identical dashboards cost one engine, and boot queries
+// whose windows agree share one window (windowGroup), so eight query sizes
+// on one stream keep one live set and generate its events once.
 //
 // # Concurrency model
 //
@@ -19,11 +21,13 @@
 // one goroutine receives closures over a channel and is the only code that
 // initiates detector mutations. HTTP handlers parse request bodies
 // concurrently (the hot path — NDJSON/CSV decoding dominates ingest cost)
-// and submit fixed-size object batches to the loop, which fans each batch
-// out to the registry's slots over a fixed worker pool (one submission per
-// slot, pinned per slot so a slot's applies stay single-threaded) and waits
-// at the pool barrier. Concurrent ingesters therefore serialise at the
-// loop, inherit its backpressure, and observe a single global stream order.
+// and submit fixed-size object batches to the loop, which feeds each batch
+// into every window once, fans the window events out to the registry's
+// slots over a fixed worker pool (one submission per slot, pinned per slot
+// so a slot's applies stay single-threaded; the slots of one window read
+// the same event slice) and waits at the pool barrier. Concurrent
+// ingesters therefore serialise at the loop, inherit its backpressure, and
+// observe a single global stream order.
 // The loop owns one stream clock and decides every chunk against it once,
 // before the chunk is logged or fanned out: the Strict policy rejects a
 // chunk that would run the clock backwards, the Clamp policy lifts late
@@ -34,14 +38,15 @@
 //
 // # Consistency
 //
-// Because every mutation flows through the loop and PushBatch is
-// answer-equivalent to per-object Push, each query's SSE notification
-// stream is exactly the sequence of answer changes a single-process run of
-// the same object sequence (with the same batch boundaries) would observe —
-// down to the bit pattern of the scores for the schedule-independent
-// engines (CCS, B-CCS, Base, GAPS, MGAPS). N tenants of identical
-// configuration answer bitwise identically to N independent single-query
-// servers fed the same stream.
+// Because every mutation flows through the loop and a Feed with its
+// Consume is PushBatch, which is answer-equivalent to per-object Push, each
+// query's SSE notification stream is exactly the sequence of answer
+// changes a single-process run of the same object sequence (with the same
+// batch boundaries) would observe — down to the bit pattern of the scores
+// for the schedule-independent engines (CCS, B-CCS, Base, GAPS, MGAPS). N
+// tenants of identical configuration answer bitwise identically to N
+// independent single-query servers fed the same stream, and so do tenants
+// that share a window.
 //
 // Reads never wait on ingest: after every batch, before its ack, the loop
 // publishes one immutable view per query (see view), and every read
@@ -181,11 +186,13 @@ type Server struct {
 	// Query registry. The event loop owns all mutations (create, delete,
 	// restore-swap); tenMu guards the map and order for concurrent readers
 	// (routing, stats, metrics). slots is the loop-owned unique-slot fan-out
-	// list, rebuilt whenever a binding changes.
+	// list and groups the windows those slots consume, both rebuilt whenever
+	// a binding changes.
 	tenMu      sync.RWMutex
 	tenants    map[string]*tenant
 	order      []*tenant
 	slots      []*engineSlot
+	groups     []*windowGroup
 	nextWorker int
 	defTenant  *tenant // the "default" query; never nil, never deleted
 
@@ -350,21 +357,30 @@ func newServer(cfg Config, seeds []tenantSeed) (*Server, error) {
 
 	// Group seeds: one engine slot per (configuration key, checkpoint
 	// lineage) — identical fresh queries share, and queries restored from
-	// the same persisted slot share again.
+	// the same persisted slot share again. Fresh slots of equal windows
+	// consume one window; a restored slot keeps its own.
 	groups := make(map[string]*engineSlot)
+	wins := make(map[string]*engineSlot) // the first fresh slot on each window
 	t0 := time.Now()
 	for _, sd := range seeds {
 		gk := strconv.Itoa(sd.slotTag) + "|" + sd.cfg.key()
 		sl := groups[gk]
 		if sl == nil {
+			var on *engineSlot
+			if sd.ckpt == nil {
+				on = wins[sd.cfg.windowKey()]
+			}
 			var err error
-			sl, err = s.buildSlot(sd.cfg, sd.ckpt)
+			sl, err = s.buildSlot(sd.cfg, sd.ckpt, on)
 			if err != nil {
 				for _, b := range groups {
 					b.close()
 				}
 				s.pool.Close()
 				return nil, err
+			}
+			if sd.ckpt == nil && on == nil {
+				wins[sd.cfg.windowKey()] = sl
 			}
 			sl.worker = s.nextWorker
 			s.nextWorker++
@@ -795,10 +811,12 @@ func (s *Server) resetClock() {
 	}
 }
 
-// applyBatch runs on the event loop: fan the shared, decided batch out to
-// every engine slot over the worker pool, wait at the barrier, then publish
-// each tenant's view and its answer changes. The slots only read the chunk,
-// so one parse serves the whole registry. The counters count every mode.
+// applyBatch runs on the event loop: feed the shared, decided batch into
+// every window once, fan the window events out to every engine slot over
+// the worker pool, wait at the barrier, then publish each tenant's view and
+// its answer changes. The slots only read the events, so one parse and one
+// window feed serve every query on that window. The counters count every
+// mode.
 //
 // Failure isolation: a slot whose apply fails or panics keeps serving its
 // last good state, with the error in its tenants' views; the other slots
@@ -821,14 +839,17 @@ func (s *Server) applyBatch(objs []surge.Object, mode batchMode) (res surge.Resu
 		s.mBatchObjs.Record(uint64(len(objs)))
 	}
 	quiet := mode == quietBatch
+	for _, g := range s.groups {
+		g.evs, g.err = g.slots[0].det.Feed(objs)
+	}
 	if len(s.slots) == 1 {
 		// Single-slot registry: apply inline, no pool hop — the dominant
 		// deployment stays on the legacy zero-overhead path.
-		s.slots[0].apply(objs, quiet)
+		s.slots[0].apply(quiet)
 	} else {
 		for _, sl := range s.slots {
 			sl := sl
-			s.pool.Submit(sl.worker, func() { sl.apply(objs, quiet) })
+			s.pool.Submit(sl.worker, func() { sl.apply(quiet) })
 		}
 		s.pool.Wait()
 	}
@@ -1033,7 +1054,7 @@ func (s *Server) Restore(data []byte) error {
 // serving its remaining tenants), and a failed restore leaves the old slot
 // serving as before.
 func (s *Server) restoreTenant(t *tenant, data []byte) error {
-	sl, err := s.buildSlot(t.cfg, data)
+	sl, err := s.buildSlot(t.cfg, data, nil)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"surge"
 	"surge/client"
+	"surge/internal/core"
 )
 
 // DefaultQueryID is the registry id of the query the legacy single-query
@@ -16,7 +17,8 @@ const DefaultQueryID = "default"
 // tenantConfig is one query's resolved engine configuration: everything
 // that determines the answer stream. Two tenants with equal tenantConfigs
 // are answer-identical by construction, which is what lets the registry
-// host them on one shared engine slot.
+// host them on one shared engine slot; fresh slots of equal windows (Window,
+// PastWindow, CountWindows) built at boot consume one shared window.
 type tenantConfig struct {
 	Algorithm surge.Algorithm
 	Options   surge.Options
@@ -35,6 +37,17 @@ func (c tenantConfig) key() string {
 	return fmt.Sprintf("%d|%v|%v|%v|%v|%v|%s|%v|%t|%d|%d|%d",
 		c.Algorithm, o.Width, o.Height, o.Window, o.PastWindow, o.Alpha,
 		area, o.AG2Gamma, o.CountWindows, o.Shards, o.ShardBlockCols, c.TopK)
+}
+
+// windowKey renders the configuration's sliding windows as a window-sharing
+// key: a PastWindow of 0 means Window, as in surge.Options.
+func (c tenantConfig) windowKey() string {
+	o := c.Options
+	wp := o.PastWindow
+	if wp == 0 {
+		wp = o.Window
+	}
+	return fmt.Sprintf("%v|%v|%t", o.Window, wp, o.CountWindows)
 }
 
 // chainFor maps a served algorithm to the maintained top-k chain whose
@@ -59,14 +72,16 @@ func chainFor(alg surge.Algorithm) (surge.Algorithm, error) {
 
 // engineSlot hosts one maintained top-k chain (best is its rank 1) for one
 // or more tenants of identical configuration. Slots are pinned to a worker
-// of the server's shared tenant pool: every ingest batch runs each slot's
-// apply on its worker, the event loop waits at the pool barrier, then reads
-// the pend* results — so slot state needs no lock, exactly like the old
-// single-detector loop ownership, just with N islands instead of one.
+// of the server's shared tenant pool: every ingest batch, the event loop
+// feeds each window group once, runs each slot's apply — its chain consuming
+// its group's events — on the slot's worker, waits at the pool barrier,
+// then reads the pend* results. So slot state needs no lock, exactly like
+// the old single-detector loop ownership, just with N islands instead of
+// one.
 //
 // Sharing happens only at registration time (boot grouping, never
 // retroactively), and a live restore unshares: the restored tenant gets a
-// private slot while the others keep the old one.
+// private slot, on a private window, while the others keep the old one.
 type engineSlot struct {
 	cfg    tenantConfig
 	key    string
@@ -74,6 +89,7 @@ type engineSlot struct {
 	refs   atomic.Int32 // tenants bound to this slot; loop-owned writes
 
 	det *surge.TopKDetector // the chain serving best and top-k
+	grp *windowGroup        // the window the chain consumes
 
 	// Per-batch outputs: written by apply on the slot's worker, read by the
 	// event loop after the pool barrier.
@@ -92,15 +108,16 @@ type engineSlot struct {
 }
 
 // apply runs on the slot's pool worker (or inline on the loop when the
-// registry holds a single slot): push the batch and refresh the top-k
+// registry holds a single slot): the chain consumes the events its window
+// group's feed made of the batch, and the slot refreshes its top-k
 // snapshot. The batch is already decided against the stream clock
-// (Server.decide), so it is in time order for every slot. A quiet apply —
-// boot replay of an unsequenced WAL record — goes through
-// TopKDetector.Replay instead and reads nothing: the chain catches up at the
+// (Server.decide), so it is in time order for every window. A quiet apply —
+// boot replay of an unsequenced WAL record — consumes as
+// TopKDetector.Replay does and reads nothing: the chain catches up at the
 // slot's next read. A panic — an engine bug tripped by this batch — is
 // recovered into pendErr/pendPanicked so one broken tenant engine never
 // takes the worker, the loop, or the other tenants down.
-func (sl *engineSlot) apply(objs []surge.Object, quiet bool) {
+func (sl *engineSlot) apply(quiet bool) {
 	sl.pendErr, sl.pendPanicked = sl.failed, sl.failed != nil
 	if sl.failed != nil {
 		return
@@ -112,12 +129,9 @@ func (sl *engineSlot) apply(objs []surge.Object, quiet bool) {
 			sl.failed = sl.pendErr
 		}
 	}()
-	var res []surge.Result
-	var err error
-	if quiet {
-		err = sl.det.Replay(objs)
-	} else {
-		res, err = sl.det.PushBatch(objs)
+	res, err := sl.det.Consume(sl.grp.evs, quiet)
+	if err == nil {
+		err = sl.grp.err
 	}
 	if err != nil {
 		// The previous answer stands.
@@ -157,9 +171,22 @@ func (sl *engineSlot) refreshTopKLocal() {
 }
 
 // close releases the slot's chain. Only called once the loop no longer
-// references the slot (it left s.slots), so nothing races the teardown.
+// references the slot (it left s.slots), so nothing races the teardown: a
+// chain on a shared window does not read the window at Close.
 func (sl *engineSlot) close() error {
 	return sl.det.Close()
+}
+
+// windowGroup is the slots whose chains consume one sliding window: a
+// private window's single slot, or the boot registry's fresh slots of equal
+// windowKey. The window belongs to the group, not to a slot: the loop feeds
+// each batch through any member, once, and every member's chain consumes
+// the same read-only events, so deleting any member leaves the others fed.
+// Loop-owned; the members read evs and err during the pool phase.
+type windowGroup struct {
+	slots []*engineSlot // members in registry order (rebuildSlots)
+	evs   []core.Event  // the last feed's window events
+	err   error         // the last feed's error, every member's
 }
 
 // tenant is one registered query: its identity, its binding to an engine
@@ -229,25 +256,31 @@ type tenantSeed struct {
 	slotTag int
 }
 
-// buildSlot constructs a slot off the event loop: fresh from cfg, or
-// restored from a checkpoint in one replay (the checkpoint's recorded query
-// options define the chain; cfg supplies algorithm, k and shard layout, as
-// surge.RestoreTopKSharded documents).
-func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte) (*engineSlot, error) {
+// buildSlot constructs a slot off the event loop: fresh from cfg — on its
+// own window, or on the window of on (a fresh boot slot of equal windowKey)
+// — or restored from a checkpoint in one replay (the checkpoint's recorded
+// query options define the chain; cfg supplies algorithm, k and shard
+// layout, as surge.RestoreTopKSharded documents).
+func (s *Server) buildSlot(cfg tenantConfig, ckpt []byte, on *engineSlot) (*engineSlot, error) {
 	chain, err := chainFor(cfg.Algorithm)
 	if err != nil {
 		return nil, err
 	}
 	var det *surge.TopKDetector
-	if ckpt != nil {
+	grp := &windowGroup{}
+	switch {
+	case ckpt != nil:
 		det, err = surge.RestoreTopKSharded(chain, ckpt, cfg.TopK, cfg.Options.Shards, cfg.Options.ShardBlockCols)
-	} else {
+	case on != nil:
+		det, err = surge.NewTopKOn(on.det, chain, cfg.Options, cfg.TopK)
+		grp = on.grp
+	default:
 		det, err = surge.NewTopK(chain, cfg.Options, cfg.TopK)
 	}
 	if err != nil {
 		return nil, err
 	}
-	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det}
+	sl := &engineSlot{cfg: cfg, key: cfg.key(), det: det, grp: grp}
 	sl.read() // BestK has k >= 1 slots, so the first call always builds tkSnap
 	return sl, nil
 }
@@ -272,17 +305,26 @@ func (s *Server) newTenant(id string, cfg tenantConfig, sl *engineSlot) *tenant 
 	return t
 }
 
-// rebuildSlots recomputes the unique-slot fan-out list from the registry
-// order. Loop-owned.
+// rebuildSlots recomputes the unique-slot fan-out list, the window groups
+// and their members from the registry order. Loop-owned.
 func (s *Server) rebuildSlots() {
 	seen := make(map[*engineSlot]bool, len(s.order))
 	s.slots = s.slots[:0]
+	for _, g := range s.groups {
+		g.slots = g.slots[:0]
+	}
+	s.groups = s.groups[:0]
 	for _, t := range s.order {
 		sl := t.slot.Load()
-		if !seen[sl] {
-			seen[sl] = true
-			s.slots = append(s.slots, sl)
+		if seen[sl] {
+			continue
 		}
+		seen[sl] = true
+		s.slots = append(s.slots, sl)
+		if len(sl.grp.slots) == 0 {
+			s.groups = append(s.groups, sl.grp)
+		}
+		sl.grp.slots = append(sl.grp.slots, sl)
 	}
 }
 

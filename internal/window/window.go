@@ -26,6 +26,11 @@ import (
 // Source is the common interface of the time-based (Engine) and
 // count-based (CountEngine) window event generators. The detection engines
 // consume events and are agnostic to which generator produced them.
+//
+// Both emit in FIFO order, which engines may rely on (gapsurge's cells
+// do): every object's events come New, then Grown, then Expired, and the
+// events of each kind come in ID (arrival) order, because each kind is
+// drawn from an arrival-ordered queue.
 type Source interface {
 	// Push feeds one object, emitting its New event plus any transitions it
 	// makes due, and returns the object's assigned ID.

@@ -15,13 +15,14 @@ import (
 // of the paper): k regions of the query size such that every object
 // contributes to the burst score of at most one of them, selected greedily
 // by score. It owns its sliding windows and is fed with Push, PushBatch and
-// AdvanceTo. Its first problem is the unconstrained one, so rank 1 is the
-// bursty region. It is not safe for concurrent use.
+// AdvanceTo — or shares them with other chains (NewTopKOn) and is fed with
+// Feed and Consume. Its first problem is the unconstrained one, so rank 1 is
+// the bursty region. It is not safe for concurrent use.
 type TopKDetector struct {
 	alg     Algorithm
 	k       int
 	cfg     core.Config
-	win     window.Source
+	st      *stream          // the windows, shared by every chain built on them
 	eng     core.TopKEngine  // single-engine path; nil when sharded
 	pipe    *shard.Pipeline  // top-k pipeline; nil on the single-engine path
 	chain   *shard.TopKChain // pipe's cross-shard chain
@@ -40,14 +41,17 @@ type TopKDetector struct {
 
 	// lag is the first object Replay held back from the chain, 0 when the
 	// chain holds every live object. Held-back objects are the newest ones
-	// (IDs >= lag); catchUp shows the chain those still live.
-	lag uint64
+	// (IDs >= lag); catchUp shows the chain those still live. Each chain on
+	// shared windows holds back on its own. dark marks a lagging chain all
+	// of whose shown objects (IDs < lag) have expired: no event concerns it
+	// until it catches up.
+	lag  uint64
+	dark bool
 
 	// Emit callbacks captured once; binding a method value per Push would
 	// put a closure allocation on the per-object hot path.
 	stepFn  func(core.Event)
 	chainFn func(core.Event) // the engine's Process, or the pipeline's Route
-	holdFn  func(core.Event)
 }
 
 // newTopKEngine builds the top-k engine for an algorithm. Supported:
@@ -98,6 +102,89 @@ func newTopKShardEngine(alg Algorithm, cfg core.Config, k int) (core.TopKShard, 
 // equals the single-engine chain's (bitwise for kCCS; same regions for
 // kGAPS/kMGAPS). Call Close when done to stop the shard goroutines.
 func NewTopK(alg Algorithm, opt Options, k int) (*TopKDetector, error) {
+	return newTopK(alg, opt, k, nil)
+}
+
+// NewTopKOn returns a top-k chain on base's sliding windows: one stream
+// that every chain built on it consumes. opt must agree with base on
+// Window, PastWindow and CountWindows; the query size, alpha, area, shard
+// layout, algorithm and k are the chain's own. The new chain starts with
+// the windows' live objects (it catches up on them at its first read).
+//
+// Chains on shared windows are fed through Feed — once per batch, on any
+// of them — and every chain then shows the returned events to its engine
+// with Consume; Push, PushBatch, AdvanceTo and Replay would advance the
+// windows for one chain alone and return an error instead. Now, Live and
+// Checkpoint read the shared windows, so each chain answers, and
+// checkpoints, exactly as a standalone detector fed the same objects.
+// Closing a chain leaves the windows to the others. NewTopKOn must not run
+// concurrently with a method of a chain on base's windows.
+func NewTopKOn(base *TopKDetector, alg Algorithm, opt Options, k int) (*TopKDetector, error) {
+	d, err := newTopK(alg, opt, k, base)
+	if err != nil {
+		return nil, err
+	}
+	d.st.shared = true
+	if d.st.win.Live() > 0 {
+		d.lag, d.dark = 1, true // hold every live object back until the first read
+	}
+	return d, nil
+}
+
+// stream is the sliding windows one or more chains consume, with the event
+// buffer Feed fills.
+type stream struct {
+	win    window.Source
+	evs    []core.Event // the last feed's transitions, reused
+	emit   func(core.Event)
+	shared bool // set once by NewTopKOn: only Feed and Consume may feed
+}
+
+func newStream(win window.Source) *stream {
+	st := &stream{win: win}
+	st.emit = func(ev core.Event) {
+		n := len(st.evs)
+		if n == cap(st.evs) {
+			st.evs = append(st.evs, ev)
+			return
+		}
+		// Field by field: ev is spilled to the stack on entry, and a
+		// whole-struct copy reloads it with wider loads than the spilling
+		// stores, which defeats store-to-load forwarding — a stall per
+		// event that took a quarter of a WAL recovery's CPU profile.
+		st.evs = st.evs[:n+1]
+		e := &st.evs[n]
+		e.Kind = ev.Kind
+		e.Obj.ID, e.Obj.X, e.Obj.Y, e.Obj.Weight, e.Obj.T = ev.Obj.ID, ev.Obj.X, ev.Obj.Y, ev.Obj.Weight, ev.Obj.T
+	}
+	return st
+}
+
+// feed pushes objs into the windows and returns their transitions; on an
+// error, those of the objects before the offending one.
+func (st *stream) feed(objs []Object) ([]core.Event, error) {
+	st.evs = st.evs[:0]
+	for _, o := range objs {
+		if _, err := st.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, st.emit); err != nil {
+			return st.evs, err
+		}
+	}
+	return st.evs, nil
+}
+
+// advance moves the windows' clock to t and returns the transitions.
+func (st *stream) advance(t float64) ([]core.Event, error) {
+	st.evs = st.evs[:0]
+	err := st.win.Advance(t, st.emit)
+	return st.evs, err
+}
+
+// errSharedWindows refuses the methods that feed one chain's windows alone.
+var errSharedWindows = errors.New("surge: the windows are shared with other chains; feed them with Feed and Consume")
+
+// newTopK builds a chain on base's windows, or on windows of its own when
+// base is nil.
+func newTopK(alg Algorithm, opt Options, k int, base *TopKDetector) (*TopKDetector, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("surge: k must be >= 1, got %d", k)
 	}
@@ -105,18 +192,27 @@ func NewTopK(alg Algorithm, opt Options, k int) (*TopKDetector, error) {
 	if err != nil {
 		return nil, err
 	}
-	win, err := newSource(opt, cfg)
-	if err != nil {
-		return nil, err
+	var st *stream
+	if base != nil {
+		if cfg.WC != base.cfg.WC || cfg.WP != base.cfg.WP || opt.CountWindows != base.counted {
+			return nil, fmt.Errorf("surge: windows %v/%v (count %t) differ from the shared %v/%v (count %t)",
+				cfg.WC, cfg.WP, opt.CountWindows, base.cfg.WC, base.cfg.WP, base.counted)
+		}
+		st = base.st
+	} else {
+		win, err := newSource(opt, cfg)
+		if err != nil {
+			return nil, err
+		}
+		st = newStream(win)
 	}
 	d := &TopKDetector{
-		alg: alg, k: k, cfg: cfg, win: win,
+		alg: alg, k: k, cfg: cfg, st: st,
 		counted: opt.CountWindows,
 		shards:  opt.Shards,
 		blkCols: opt.ShardBlockCols,
 	}
 	d.stepFn = d.step
-	d.holdFn = d.hold
 	if opt.Shards >= 2 {
 		d.pipe, d.chain, err = shard.NewTopK(cfg, opt.Shards, opt.ShardBlockCols, shard.Params{}, k,
 			func(scfg core.Config) (core.TopKShard, error) { return newTopKShardEngine(alg, scfg, k) })
@@ -210,14 +306,18 @@ func (d *TopKDetector) Shards() int {
 
 // Close marks the stream closed and, on the sharded path, captures the final
 // answer and statistics and shuts the shard goroutines down. After Close,
-// Push, PushBatch and AdvanceTo return ErrClosed while the query methods
-// (BestK, Stats, Now, Live, Checkpoint) keep answering from the captured
-// state. Close is idempotent.
+// Push, PushBatch, AdvanceTo, Replay, Feed and Consume return ErrClosed
+// while the query methods (BestK, Stats, Now, Live, Checkpoint) keep
+// answering from the captured state. A chain on shared windows does not
+// read them at Close: it answers as of its last read, and the windows go on
+// for the other chains. Close is idempotent.
 func (d *TopKDetector) Close() error {
 	if d.closed {
 		return nil
 	}
-	d.catchUp()
+	if !d.st.shared {
+		d.catchUp()
+	}
 	d.closed = true
 	if d.pipe == nil {
 		return nil
@@ -229,34 +329,36 @@ func (d *TopKDetector) Close() error {
 	return d.pipe.Close()
 }
 
+// own returns the error of a method that feeds the windows for this chain
+// alone: ErrClosed after Close, and an error on windows shared with other
+// chains.
+func (d *TopKDetector) own() error {
+	if d.closed {
+		return ErrClosed
+	}
+	if d.st.shared {
+		return errSharedWindows
+	}
+	return nil
+}
+
 // Push feeds one object into the stream, processes every window transition
 // it makes due, and returns the refreshed top-k regions in rank order.
 // Slots beyond the number of non-empty regions have Found == false. The
 // returned slice is reused by subsequent calls; copy it to retain. After
 // Close it returns ErrClosed.
 func (d *TopKDetector) Push(o Object) ([]Result, error) {
-	if d.closed {
-		return nil, ErrClosed
+	if err := d.own(); err != nil {
+		return nil, err
 	}
 	if d.pipe != nil {
 		return d.PushBatch([]Object{o})
 	}
 	d.catchUp()
-	if err := d.feed([]Object{o}, d.stepFn); err != nil {
+	if _, err := d.st.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, d.stepFn); err != nil {
 		return nil, err
 	}
 	return d.results(), nil
-}
-
-// feed pushes objs into the windows, emitting their transitions to emit,
-// and stops at the first offending object.
-func (d *TopKDetector) feed(objs []Object, emit func(core.Event)) error {
-	for _, o := range objs {
-		if _, err := d.win.Push(core.Object{X: o.X, Y: o.Y, Weight: o.Weight, T: o.Time}, emit); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // refresh reads the chain's answer once at the end of a push: the
@@ -292,14 +394,83 @@ func (d *TopKDetector) refreshFromChain() error {
 // On error the stream state includes every object before the offending one.
 // The returned slice is reused by subsequent calls.
 func (d *TopKDetector) PushBatch(objs []Object) ([]Result, error) {
-	if d.closed {
-		return nil, ErrClosed
+	if err := d.own(); err != nil {
+		return nil, err
 	}
 	d.catchUp()
-	if err := d.feed(objs, d.chainFn); err != nil {
+	evs, err := d.st.feed(objs)
+	d.consume(evs, false)
+	if err != nil {
 		return nil, err
 	}
 	return d.refresh()
+}
+
+// Feed pushes a time-ordered batch of objects into the chain's windows —
+// shared with every chain built on them by NewTopKOn — and returns the
+// window transitions it made due, in order. Every chain on the windows
+// must Consume them before the next Feed. The events are read-only and
+// valid until the next Feed; chains may consume them concurrently, each on
+// its own goroutine. On error the windows include every object before the
+// offending one, and the events are theirs. After Close it returns
+// ErrClosed.
+func (d *TopKDetector) Feed(objs []Object) ([]core.Event, error) {
+	if d.closed {
+		return nil, ErrClosed
+	}
+	return d.st.feed(objs)
+}
+
+// Consume shows the chain the events of one Feed on its windows and returns
+// the refreshed top-k regions, as PushBatch does. With replay set it is
+// Replay's counterpart: the chain holds the new objects back and nothing is
+// read (the result is nil). A chain that holds objects back keeps dropping
+// their events and shows itself those still live after the batch, at the
+// first Consume without replay, or at BestK, Stats or Close. The returned
+// slice is reused by subsequent calls. After Close it returns ErrClosed.
+func (d *TopKDetector) Consume(evs []core.Event, replay bool) ([]Result, error) {
+	if d.closed {
+		return nil, ErrClosed
+	}
+	d.consume(evs, replay)
+	if replay {
+		return nil, nil
+	}
+	d.catchUp()
+	return d.refresh()
+}
+
+// consume shows the chain evs. With hold set it marks the first new object
+// in lag, and while the chain lags it drops every event of a held-back
+// object (IDs >= lag). Expired events come in ID order, so once object
+// lag-1 expires — or from the start, when lag is the first ID — no later
+// event concerns the chain until it catches up.
+func (d *TopKDetector) consume(evs []core.Event, hold bool) {
+	if !hold && d.lag == 0 {
+		for _, ev := range evs {
+			d.chainFn(ev)
+		}
+		return
+	}
+	if d.dark {
+		return
+	}
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Kind == core.New && d.lag == 0 {
+			d.lag = ev.Obj.ID
+			if d.dark = d.lag == 1; d.dark {
+				return
+			}
+		}
+		if d.lag == 0 || ev.Obj.ID < d.lag {
+			d.chainFn(*ev)
+			if ev.Kind == core.Expired && ev.Obj.ID == d.lag-1 {
+				d.dark = true
+				return
+			}
+		}
+	}
 }
 
 // Replay is PushBatch for log recovery: the windows advance exactly as
@@ -314,38 +485,31 @@ func (d *TopKDetector) PushBatch(objs []Object) ([]Result, error) {
 // Now, Live and Checkpoint read the windows and need no catch-up. After
 // Close it returns ErrClosed.
 func (d *TopKDetector) Replay(objs []Object) error {
-	if d.closed {
-		return ErrClosed
+	if err := d.own(); err != nil {
+		return err
 	}
-	return d.feed(objs, d.holdFn)
-}
-
-// hold is Replay's emit: it marks the first held-back object in lag and
-// drops every event of a held-back object (IDs >= lag).
-func (d *TopKDetector) hold(ev core.Event) {
-	if ev.Kind == core.New && d.lag == 0 {
-		d.lag = ev.Obj.ID
-	}
-	if d.lag == 0 || ev.Obj.ID < d.lag {
-		d.chainFn(ev)
-	}
+	evs, err := d.st.feed(objs)
+	d.consume(evs, true)
+	return err
 }
 
 // catchUp shows the chain the objects Replay held back that are still live,
 // walking from lag: O(held-back objects), not O(live). A chain that holds no
 // live object is built from them in one pass where it can (core.TopKLoader).
+// After Close it does nothing.
 func (d *TopKDetector) catchUp() {
-	if d.lag == 0 {
+	if d.lag == 0 || d.closed {
 		return
 	}
+	win := d.st.win
 	held := 0
-	d.win.Each(d.lag, func(core.Object, bool) { held++ })
+	win.Each(d.lag, func(core.Object, bool) { held++ })
 	live := make([]core.LiveObject, 0, held)
-	d.win.Each(d.lag, func(o core.Object, past bool) {
+	win.Each(d.lag, func(o core.Object, past bool) {
 		live = append(live, core.LiveObject{Obj: o, Past: past})
 	})
-	d.lag = 0
-	if len(live) == d.win.Live() {
+	d.lag, d.dark = 0, false
+	if len(live) == win.Live() {
 		if l, ok := d.eng.(core.TopKLoader); ok {
 			l.Load(live)
 			return
@@ -366,17 +530,15 @@ func (d *TopKDetector) catchUp() {
 // the refreshed top-k regions. The returned slice is reused by subsequent
 // calls.
 func (d *TopKDetector) AdvanceTo(t float64) ([]Result, error) {
-	if d.closed {
-		return nil, ErrClosed
-	}
-	d.catchUp()
-	emit := d.stepFn
-	if d.pipe != nil {
-		emit = d.chainFn
-	}
-	if err := d.win.Advance(t, emit); err != nil {
+	if err := d.own(); err != nil {
 		return nil, err
 	}
+	d.catchUp()
+	evs, err := d.st.advance(t)
+	if err != nil {
+		return nil, err
+	}
+	d.consume(evs, false)
 	return d.refresh()
 }
 
@@ -403,10 +565,10 @@ func (d *TopKDetector) BestK() []Result {
 }
 
 // Now returns the current stream time.
-func (d *TopKDetector) Now() float64 { return d.win.Now() }
+func (d *TopKDetector) Now() float64 { return d.st.win.Now() }
 
 // Live returns the number of objects currently inside the two windows.
-func (d *TopKDetector) Live() int { return d.win.Live() }
+func (d *TopKDetector) Live() int { return d.st.win.Live() }
 
 // Stats returns instrumentation counters for engines that expose them. On a
 // sharded detector the per-shard counters are summed (a synchronisation

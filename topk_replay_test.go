@@ -15,7 +15,10 @@ import (
 // the held-back objects still live — reports bitwise the PushBatch twin's
 // scores, and that both write byte-identical checkpoints whether or not the
 // Replay twin is lagging. The stream spans well over five windows, so most
-// replayed objects expire before a read ever shows them to the chain.
+// replayed objects expire before a read ever shows them to the chain. The
+// shared arm builds the Replay twin on windows it shares with a chain of
+// another algorithm and size (NewTopKOn) and feeds both with Feed and
+// Consume: holding back, reading, and consuming a live batch while it lags.
 func TestTopKReplayEqualsPushBatch(t *testing.T) {
 	const k = 3
 	windows := []struct {
@@ -28,17 +31,23 @@ func TestTopKReplayEqualsPushBatch(t *testing.T) {
 	for _, alg := range []surge.Algorithm{surge.CellCSPOT, surge.GridApprox, surge.MultiGrid} {
 		for _, w := range windows {
 			for _, shards := range []int{1, 3} {
-				opt := w.opt
-				opt.Shards = shards
-				t.Run(fmt.Sprintf("%v/%s/shards=%d", alg, w.name, shards), func(t *testing.T) {
-					testReplayTwin(t, alg, opt, k)
-				})
+				for _, shared := range []bool{false, true} {
+					opt := w.opt
+					opt.Shards = shards
+					name := fmt.Sprintf("%v/%s/shards=%d", alg, w.name, shards)
+					if shared {
+						name = "shared/" + name
+					}
+					t.Run(name, func(t *testing.T) {
+						testReplayTwin(t, alg, opt, k, shared)
+					})
+				}
 			}
 		}
 	}
 }
 
-func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int) {
+func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int, shared bool) {
 	twin, err := surge.NewTopK(alg, opt, k)
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +56,41 @@ func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int)
 	rep, err := surge.NewTopK(alg, opt, k)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// replay holds a batch back from rep's chain, and live shows it a batch;
+	// on shared windows both are one Feed that the sibling consumes too.
+	replay, live := rep.Replay, rep.PushBatch
+	if shared {
+		rep.Close()
+		sibOpt := opt
+		sibOpt.Width, sibOpt.Shards = 1.5, 1
+		sib, err := surge.NewTopK(surge.MultiGrid, sibOpt, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sib.Close()
+		if rep, err = surge.NewTopKOn(sib, alg, opt, k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rep.PushBatch(nil); err == nil {
+			t.Fatal("PushBatch on shared windows succeeded")
+		}
+		consume := func(objs []surge.Object, replay bool) ([]surge.Result, error) {
+			evs, err := sib.Feed(objs)
+			if _, cerr := sib.Consume(evs, replay); cerr != nil {
+				t.Fatal(cerr)
+			}
+			res, cerr := rep.Consume(evs, replay)
+			if err != nil {
+				return nil, err
+			}
+			return res, cerr
+		}
+		replay = func(objs []surge.Object) error {
+			_, err := consume(objs, true)
+			return err
+		}
+		live = func(objs []surge.Object) ([]surge.Result, error) { return consume(objs, false) }
 	}
 	defer rep.Close()
 
@@ -90,7 +134,7 @@ func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int)
 			if res != nil || werr == nil {
 				t.Fatalf("%s: PushBatch accepted an out-of-order object", label)
 			}
-			rerr := rep.Replay(chunk)
+			rerr := replay(chunk)
 			if rerr == nil || rerr.Error() != werr.Error() {
 				t.Fatalf("%s: Replay error %v, PushBatch error %v", label, rerr, werr)
 			}
@@ -104,7 +148,19 @@ func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int)
 			t.Fatal(err)
 		}
 		want = copyResults(res)
-		if err := rep.Replay(chunk); err != nil {
+		if shared && batch%5 == 3 && i >= len(objs)/3 {
+			// A live batch while lagging: the chain drops the held-back
+			// objects' events, then catches up on those still live.
+			got, err := live(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitEqualTopK(t, label+" live Consume", got, want)
+			state(label + " after a live Consume")
+			advanced = true
+			continue
+		}
+		if err := replay(chunk); err != nil {
 			t.Fatal(err)
 		}
 		state(label)
@@ -121,6 +177,7 @@ func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int)
 			checkpoints(label + " after a read")
 		case 3:
 			// AdvanceTo right after Replay: catch up, then advance as the twin.
+			// (Shared windows advance only by Feed; see the live Consume.)
 			adv := objs[i-1].Time + 0.5*rng.Float64()
 			if i < len(objs) {
 				adv = min(adv, objs[i].Time)
@@ -140,7 +197,7 @@ func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int)
 		}
 	}
 	if !outOfOrderDone || !advanced {
-		t.Fatal("the schedule skipped the out-of-order batch or the AdvanceTo; the test lost its coverage")
+		t.Fatal("the schedule skipped the out-of-order batch or the AdvanceTo (live Consume); the test lost its coverage")
 	}
 	checkpoints("end of stream, lagging")
 	bitEqualTopK(t, "end of stream BestK", rep.BestK(), want)
@@ -161,7 +218,7 @@ func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int)
 	if _, err := twin.PushBatch([]surge.Object{o}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Replay([]surge.Object{o}); err != nil {
+	if err := replay([]surge.Object{o}); err != nil {
 		t.Fatal(err)
 	}
 	o = next()
@@ -169,7 +226,12 @@ func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rep.Push(o)
+	var got []surge.Result
+	if shared {
+		got, err = live([]surge.Object{o})
+	} else {
+		got, err = rep.Push(o)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +240,14 @@ func testReplayTwin(t *testing.T, alg surge.Algorithm, opt surge.Options, k int)
 	if _, err := twin.PushBatch([]surge.Object{o}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Replay([]surge.Object{o}); err != nil {
+	if err := replay([]surge.Object{o}); err != nil {
 		t.Fatal(err)
 	}
 	want = copyResults(twin.BestK())
+	if shared {
+		// A chain on shared windows does not read them at Close.
+		bitEqualTopK(t, "before Close", rep.BestK(), want)
+	}
 	if err := rep.Close(); err != nil {
 		t.Fatal(err)
 	}
